@@ -53,9 +53,9 @@ Row evaluate(const std::string& name, const sys::AppSchedule& schedule) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
+  const std::size_t threads = bench::parse_threads(argc, argv);
   apps::ProfileCache cache;
-  sys::BatchRunner runner{options.threads};
+  sys::BatchRunner runner{threads};
 
   Table table{
       "Ablation — adaptive mapping + shared memory vs naive NoC-everything"};

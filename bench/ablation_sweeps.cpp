@@ -38,9 +38,9 @@ sys::AppSchedule jpeg_schedule(apps::ProfileCache& cache,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
+  const std::size_t threads = bench::parse_threads(argc, argv);
   apps::ProfileCache cache;
-  sys::BatchRunner runner{options.threads};
+  sys::BatchRunner runner{threads};
 
   std::vector<sys::BatchRunner::Job<SweepRow>> jobs;
 

@@ -3,7 +3,6 @@
 // numbers so every report prints paper-vs-measured side by side.
 #pragma once
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -16,39 +15,20 @@
 #include "apps/profile_cache.hpp"
 #include "sys/batch_runner.hpp"
 #include "sys/experiment.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
 namespace hybridic::bench {
 
-/// Command-line options shared by the batch-runner-based benches.
-struct BenchOptions {
-  std::size_t threads = 0;  ///< 0 = hardware concurrency.
-  bool trace = false;       ///< Export Chrome-trace JSON per app run.
-};
-
-/// Parse `--threads N` (also accepts `--threads=N`) and `--trace`.
-/// Unknown arguments abort with usage — the benches take nothing else.
-inline BenchOptions parse_options(int argc, char** argv) {
-  BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--trace") {
-      options.trace = true;
-      continue;
-    }
-    if (arg == "--threads" && i + 1 < argc) {
-      value = argv[++i];
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      value = arg.substr(std::string("--threads=").size());
-    } else {
-      std::cerr << "usage: " << argv[0] << " [--threads N] [--trace]\n";
-      std::exit(2);
-    }
-    options.threads = static_cast<std::size_t>(std::stoul(value));
-  }
-  return options;
+/// The command line of the batch-runner benches that take only
+/// `--threads N` (0 = hardware concurrency).
+inline std::size_t parse_threads(int argc, char** argv) {
+  std::size_t threads = 0;
+  util::Flags{"[--threads N]"}
+      .value("--threads", threads)
+      .parse_or_exit(argc, argv);
+  return threads;
 }
 
 /// Paper-published reference numbers (Fig. 4, Table III, Table IV, Fig. 9).

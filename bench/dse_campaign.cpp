@@ -24,9 +24,7 @@
 // byte-identical to the unsharded run.
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -35,7 +33,9 @@
 #include "bench/bench_common.hpp"
 #include "dse/campaign.hpp"
 #include "store/store.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -51,23 +51,9 @@ constexpr int kExitStore = 5;
 constexpr int kExitInterrupted = 6;
 constexpr int kExitQuarantined = 7;
 
-/// Set (only) by the SIGINT/SIGTERM handler; the campaign polls it as an
-/// admission gate, drains in-flight jobs, and flushes the journal.
+/// Set (only) by SIGINT/SIGTERM; the campaign polls it as an admission
+/// gate, drains in-flight jobs, and flushes the journal.
 std::atomic<bool> g_stop{false};
-
-void handle_stop_signal(int) {
-  g_stop.store(true, std::memory_order_relaxed);
-}
-
-void install_signal_handlers() {
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = handle_stop_signal;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // No SA_RESTART: the drain must not wait on a retry.
-  sigaction(SIGINT, &sa, nullptr);
-  sigaction(SIGTERM, &sa, nullptr);
-}
 
 struct Options {
   std::size_t threads = 0;
@@ -91,249 +77,161 @@ struct Options {
   std::uint32_t search_iterations = 60;
 };
 
-void print_help(const char* argv0, std::ostream& out) {
-  out << "usage: " << argv0
-      << " [--threads N] [--count N] [--seed S]"
-      << " [--tier auto|analytic|cycle] [--smoke]"
-      << " [--store DIR] [--shard I/N] [--assert-warm]"
-      << " [--boards N] [--board-topology chain|ring|mesh]"
-      << " [--journal FILE] [--resume] [--job-timeout S]\n"
-      << "       [--search anneal] [--search-restarts N]"
-      << " [--search-iterations N]\n"
-      << "\n"
-      << "Property-based design-space exploration campaign: sweeps\n"
-      << "generated design points through profiling, Algorithm 1 and the\n"
-      << "tiered evaluation engine, checks the invariant oracles, and\n"
-      << "shrinks failures into JSON reproducers.\n"
-      << "\n"
-      << "  --threads N     worker threads (0 = hardware concurrency)\n"
-      << "  --count N       design points to sweep (default 1000; 32 with"
-      << " --smoke)\n"
-      << "  --seed S        campaign seed (default 1)\n"
-      << "  --tier MODE     auto | analytic | cycle (default cycle)\n"
-      << "  --smoke         small CI sweep -> bench_results/dse_smoke.csv\n"
-      << "  --store DIR     persistent content-addressed result store\n"
-      << "  --shard I/N     evaluate only indices with index % N == I\n"
-      << "  --assert-warm   fail unless the store served >= 1 hit\n"
-      << "  --boards N      sample board counts in [1, N]; N > 1 runs the\n"
-      << "                  two-level multi-board design on sampled rows\n"
-      << "  --board-topology chain|ring|mesh   inter-board network shape\n"
-      << "  --journal FILE  append-only run journal: every settled design\n"
-      << "                  is checkpointed the moment it completes\n"
-      << "  --resume        skip designs already journaled for this exact\n"
-      << "                  campaign (requires --journal)\n"
-      << "  --job-timeout S wall-clock watchdog per design; a design that\n"
-      << "                  exceeds it is quarantined, not retried\n"
-      << "  --search anneal run the seeded annealer on every design and\n"
-      << "                  record it next to Algorithm 1 (searched_* CSV\n"
-      << "                  columns + the REPORT Pareto section)\n"
-      << "  --search-restarts N    annealer restarts per design"
-      << " (default 2)\n"
-      << "  --search-iterations N  annealer iterations per restart"
-      << " (default 60)\n"
-      << "  --version       print the engine revision and exit 0\n"
-      << "  --help          print this help and exit 0\n"
-      << "\n"
-      << "SIGINT/SIGTERM stop admission, drain in-flight designs, flush\n"
-      << "the journal, and exit 6; a later --resume run continues where\n"
-      << "the drain stopped.\n"
-      << "\n"
-      << "Exit codes:\n"
-      << "  0  campaign completed, every oracle passed\n"
-      << "  1  campaign completed with oracle failures (or errors)\n"
-      << "  2  usage error: unknown flag or malformed value\n"
-      << "  3  semantic configuration error\n"
-      << "  5  store error: --store directory unusable (or --assert-warm"
-      << " cold)\n"
-      << "  6  interrupted by SIGINT/SIGTERM and drained cleanly\n"
-      << "  7  campaign completed but quarantined >= 1 poison design\n";
-}
+constexpr const char* kSynopsis =
+    "[--threads N] [--count N] [--seed S] [--tier auto|analytic|cycle]"
+    " [--smoke] [--store DIR] [--shard I/N] [--assert-warm]"
+    " [--boards N] [--board-topology chain|ring|mesh]"
+    " [--journal FILE] [--resume] [--job-timeout S]\n"
+    "       [--search anneal] [--search-restarts N]"
+    " [--search-iterations N]";
 
-void usage(const char* argv0) {
-  print_help(argv0, std::cerr);
-  std::exit(kExitUsage);
+constexpr const char* kDetails =
+    "\n"
+    "Property-based design-space exploration campaign: sweeps\n"
+    "generated design points through profiling, Algorithm 1 and the\n"
+    "tiered evaluation engine, checks the invariant oracles, and\n"
+    "shrinks failures into JSON reproducers.\n"
+    "\n"
+    "  --threads N     worker threads (0 = hardware concurrency)\n"
+    "  --count N       design points to sweep (default 1000; 32 with"
+    " --smoke)\n"
+    "  --seed S        campaign seed (default 1)\n"
+    "  --tier MODE     auto | analytic | cycle (default cycle)\n"
+    "  --smoke         small CI sweep -> bench_results/dse_smoke.csv\n"
+    "  --store DIR     persistent content-addressed result store\n"
+    "  --shard I/N     evaluate only indices with index % N == I\n"
+    "  --assert-warm   fail unless the store served >= 1 hit\n"
+    "  --boards N      sample board counts in [1, N]; N > 1 runs the\n"
+    "                  two-level multi-board design on sampled rows\n"
+    "  --board-topology chain|ring|mesh   inter-board network shape\n"
+    "  --journal FILE  append-only run journal: every settled design\n"
+    "                  is checkpointed the moment it completes\n"
+    "  --resume        skip designs already journaled for this exact\n"
+    "                  campaign (requires --journal)\n"
+    "  --job-timeout S wall-clock watchdog per design; a design that\n"
+    "                  exceeds it is quarantined, not retried\n"
+    "  --search anneal run the seeded annealer on every design and\n"
+    "                  record it next to Algorithm 1 (searched_* CSV\n"
+    "                  columns + the REPORT Pareto section)\n"
+    "  --search-restarts N    annealer restarts per design"
+    " (default 2)\n"
+    "  --search-iterations N  annealer iterations per restart"
+    " (default 60)\n"
+    "  --version       print the engine revision and exit 0\n"
+    "  --help          print this help and exit 0\n"
+    "\n"
+    "SIGINT/SIGTERM stop admission, drain in-flight designs, flush\n"
+    "the journal, and exit 6; a later --resume run continues where\n"
+    "the drain stopped.\n"
+    "\n"
+    "Exit codes:\n"
+    "  0  campaign completed, every oracle passed\n"
+    "  1  campaign completed with oracle failures (or errors)\n"
+    "  2  usage error: unknown flag or malformed value\n"
+    "  3  semantic configuration error\n"
+    "  5  store error: --store directory unusable (or --assert-warm"
+    " cold)\n"
+    "  6  interrupted by SIGINT/SIGTERM and drained cleanly\n"
+    "  7  campaign completed but quarantined >= 1 poison design\n";
+
+/// `value` as a positive 32-bit count for `flag`.
+std::uint32_t positive_u32(const std::string& flag, const std::string& value) {
+  const std::uint64_t n = util::unsigned_flag(flag, value, UINT32_MAX);
+  if (n == 0) {
+    throw util::UsageError{flag + " expects a positive integer, got '" +
+                           value + "'"};
+  }
+  return static_cast<std::uint32_t>(n);
 }
 
 Options parse(int argc, char** argv) {
   Options options;
   bool count_given = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value_of = [&](const std::string& flag) -> std::string {
-      if (arg == flag && i + 1 < argc) {
-        return argv[++i];
-      }
-      if (arg.rfind(flag + "=", 0) == 0) {
-        return arg.substr(flag.size() + 1);
-      }
-      return "";
-    };
-    if (arg == "--help") {
-      print_help(argv[0], std::cout);
-      std::exit(0);
+  util::Flags flags{kSynopsis, kDetails};
+  flags.version("dse_campaign engine revision " +
+                std::to_string(store::kEngineRevision));
+  flags.on("--resume", options.resume)
+      .on("--smoke", options.smoke)
+      .on("--assert-warm", options.assert_warm)
+      .value("--threads", options.threads)
+      .value("--seed", options.seed)
+      .value("--store", options.store_dir)
+      .value("--journal", options.journal_path);
+  flags.value("--count", [&](const std::string& v) {
+    options.count = util::unsigned_flag("--count", v, UINT64_MAX);
+    count_given = true;
+  });
+  flags.value("--job-timeout", [&](const std::string& v) {
+    options.job_timeout = util::double_flag("--job-timeout", v);
+    if (!(options.job_timeout > 0.0)) {
+      throw util::UsageError{
+          "--job-timeout expects a positive number of seconds, got '" + v +
+          "'"};
     }
-    if (arg == "--version") {
-      std::cout << "dse_campaign engine revision "
-                << store::kEngineRevision << "\n";
-      std::exit(0);
+  });
+  flags.value("--shard", [&](const std::string& v) {
+    const std::size_t slash = v.find('/');
+    if (slash == std::string::npos) {
+      throw util::UsageError{"--shard expects I/N (e.g. --shard 0/2)"};
     }
-    if (arg == "--resume") {
-      options.resume = true;
-      continue;
+    options.shard_index =
+        util::unsigned_flag("--shard", v.substr(0, slash), UINT64_MAX);
+    options.shard_count =
+        util::unsigned_flag("--shard", v.substr(slash + 1), UINT64_MAX);
+    if (options.shard_count == 0 ||
+        options.shard_index >= options.shard_count) {
+      throw util::UsageError{"--shard " + v + ": need 0 <= I < N"};
     }
-    if (arg == "--smoke") {
-      options.smoke = true;
-      continue;
+  });
+  flags.value("--tier", [&](const std::string& v) {
+    const auto mode = tiers::parse_tier_mode(v);
+    if (!mode) {
+      throw util::UsageError{"unknown --tier value '" + v +
+                             "' (expected auto, analytic, or cycle)"};
     }
-    if (arg == "--assert-warm") {
-      options.assert_warm = true;
-      continue;
+    options.tier = *mode;
+  });
+  flags.value("--search", [&](const std::string& v) {
+    if (v != "anneal") {
+      throw util::UsageError{"unknown --search value '" + v +
+                             "' (expected anneal)"};
     }
-    if (std::string v = value_of("--threads"); !v.empty()) {
-      options.threads = static_cast<std::size_t>(std::stoul(v));
-      continue;
+    options.search = true;
+  });
+  flags.value("--search-restarts", [&](const std::string& v) {
+    options.search_restarts = positive_u32("--search-restarts", v);
+  });
+  flags.value("--search-iterations", [&](const std::string& v) {
+    options.search_iterations = positive_u32("--search-iterations", v);
+  });
+  flags.value("--boards", [&](const std::string& v) {
+    options.boards = positive_u32("--boards", v);
+  });
+  flags.value("--board-topology", [&](const std::string& v) {
+    if (v != "chain" && v != "ring" && v != "mesh") {
+      throw util::UsageError{"unknown --board-topology value '" + v +
+                             "' (expected chain, ring, or mesh)"};
     }
-    if (std::string v = value_of("--count"); !v.empty()) {
-      options.count = std::stoull(v);
-      count_given = true;
-      continue;
+    options.board_topology = v;
+  });
+  flags.parse_or_exit(argc, argv, [&] {
+    // Auto-mode escalation selection is global: neither a shard nor a
+    // resumed run can rank against estimates it never computed.
+    if (options.shard_count > 1 && options.tier == tiers::TierMode::kAuto) {
+      throw util::UsageError{
+          "--shard requires --tier=analytic or --tier=cycle"};
     }
-    if (std::string v = value_of("--seed"); !v.empty()) {
-      options.seed = std::stoull(v);
-      continue;
+    if (options.resume && options.journal_path.empty()) {
+      throw util::UsageError{"--resume requires --journal FILE"};
     }
-    if (std::string v = value_of("--store"); !v.empty()) {
-      options.store_dir = v;
-      continue;
+    if (!options.journal_path.empty() &&
+        options.tier == tiers::TierMode::kAuto) {
+      throw util::UsageError{
+          "--journal requires --tier=analytic or --tier=cycle"};
     }
-    if (std::string v = value_of("--journal"); !v.empty()) {
-      options.journal_path = v;
-      continue;
-    }
-    if (std::string v = value_of("--job-timeout"); !v.empty()) {
-      try {
-        options.job_timeout = std::stod(v);
-      } catch (const std::exception&) {
-        options.job_timeout = -1.0;
-      }
-      if (!(options.job_timeout > 0.0)) {
-        std::cerr << "--job-timeout expects a positive number of seconds, "
-                     "got '"
-                  << v << "'\n";
-        std::exit(kExitUsage);
-      }
-      continue;
-    }
-    if (std::string v = value_of("--shard"); !v.empty()) {
-      const std::size_t slash = v.find('/');
-      if (slash == std::string::npos || slash == 0 ||
-          slash + 1 >= v.size()) {
-        std::cerr << "--shard expects I/N (e.g. --shard 0/2)\n";
-        std::exit(kExitUsage);
-      }
-      try {
-        options.shard_index = std::stoull(v.substr(0, slash));
-        options.shard_count = std::stoull(v.substr(slash + 1));
-      } catch (const std::exception&) {
-        std::cerr << "--shard expects I/N (e.g. --shard 0/2)\n";
-        std::exit(kExitUsage);
-      }
-      if (options.shard_count == 0 ||
-          options.shard_index >= options.shard_count) {
-        std::cerr << "--shard " << v << ": need 0 <= I < N\n";
-        std::exit(kExitUsage);
-      }
-      continue;
-    }
-    if (std::string v = value_of("--tier"); !v.empty()) {
-      if (const auto mode = tiers::parse_tier_mode(v)) {
-        options.tier = *mode;
-        continue;
-      }
-      std::cerr << "unknown --tier value '" << v
-                << "' (expected auto, analytic, or cycle)\n";
-      std::exit(kExitUsage);
-    }
-    if (std::string v = value_of("--search"); !v.empty()) {
-      if (v != "anneal") {
-        std::cerr << "unknown --search value '" << v
-                  << "' (expected anneal)\n";
-        std::exit(kExitUsage);
-      }
-      options.search = true;
-      continue;
-    }
-    if (std::string v = value_of("--search-restarts"); !v.empty()) {
-      try {
-        options.search_restarts = static_cast<std::uint32_t>(std::stoul(v));
-      } catch (const std::exception&) {
-        options.search_restarts = 0;
-      }
-      if (options.search_restarts == 0) {
-        std::cerr << "--search-restarts expects a positive integer, got '"
-                  << v << "'\n";
-        std::exit(kExitUsage);
-      }
-      continue;
-    }
-    if (std::string v = value_of("--search-iterations"); !v.empty()) {
-      try {
-        options.search_iterations =
-            static_cast<std::uint32_t>(std::stoul(v));
-      } catch (const std::exception&) {
-        options.search_iterations = 0;
-      }
-      if (options.search_iterations == 0) {
-        std::cerr << "--search-iterations expects a positive integer, got '"
-                  << v << "'\n";
-        std::exit(kExitUsage);
-      }
-      continue;
-    }
-    if (std::string v = value_of("--boards"); !v.empty()) {
-      try {
-        options.boards = static_cast<std::uint32_t>(std::stoul(v));
-      } catch (const std::exception&) {
-        options.boards = 0;
-      }
-      if (options.boards == 0) {
-        std::cerr << "--boards expects a positive integer, got '" << v
-                  << "'\n";
-        std::exit(kExitUsage);
-      }
-      continue;
-    }
-    if (std::string v = value_of("--board-topology"); !v.empty()) {
-      if (v != "chain" && v != "ring" && v != "mesh") {
-        std::cerr << "unknown --board-topology value '" << v
-                  << "' (expected chain, ring, or mesh)\n";
-        std::exit(kExitUsage);
-      }
-      options.board_topology = v;
-      continue;
-    }
-    std::cerr << "unknown flag '" << arg << "'\n";
-    usage(argv[0]);
-  }
+  });
   if (options.smoke && !count_given) {
     options.count = 32;
-  }
-  if (options.shard_count > 1 && options.tier == tiers::TierMode::kAuto) {
-    // Auto-mode escalation selection is global; a shard cannot rank
-    // against estimates it never computed.
-    std::cerr << "--shard requires --tier=analytic or --tier=cycle\n";
-    std::exit(kExitUsage);
-  }
-  if (options.resume && options.journal_path.empty()) {
-    std::cerr << "--resume requires --journal FILE\n";
-    std::exit(kExitUsage);
-  }
-  if (!options.journal_path.empty() &&
-      options.tier == tiers::TierMode::kAuto) {
-    // Same global-selection problem as sharding: a resumed run would
-    // rank escalations against a different survivor set.
-    std::cerr << "--journal requires --tier=analytic or --tier=cycle\n";
-    std::exit(kExitUsage);
   }
   return options;
 }
@@ -342,7 +240,7 @@ Options parse(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   const Options options = parse(argc, argv);
-  install_signal_handlers();
+  util::install_stop_signals(g_stop);
 
   dse::CampaignOptions campaign;
   campaign.count = options.count;
@@ -363,7 +261,12 @@ int main(int argc, char** argv) {
   // exercising the watchdog/quarantine path from the real binary. The
   // abandoned thread sleeps until process exit.
   if (const char* wedge_env = std::getenv("HYBRIDIC_WEDGE_INDEX")) {
-    const std::uint64_t wedge_index = std::stoull(wedge_env);
+    std::uint64_t wedge_index = 0;
+    if (!util::parse_u64(wedge_env, wedge_index)) {
+      std::cerr << "HYBRIDIC_WEDGE_INDEX expects a design index, got '"
+                << wedge_env << "'\n";
+      return kExitUsage;
+    }
     campaign.job_started_hook = [wedge_index](std::uint64_t index) {
       while (index == wedge_index) {
         std::this_thread::sleep_for(std::chrono::seconds(3600));

@@ -12,9 +12,7 @@
 // bench_results/fault_smoke.json only; byte-identical across reruns and
 // --threads values by the batch-runner determinism contract (every job's
 // FaultSpec seed is job_seed(key), never time or thread id).
-#include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -24,10 +22,12 @@
 #include "core/interconnect_design.hpp"
 #include "noc/topology.hpp"
 #include "sys/crossbar_system.hpp"
+#include "util/text.hpp"
 
 namespace {
 
 using namespace hybridic;
+using util::decimal17;
 
 struct CampaignOptions {
   std::size_t threads = 0;
@@ -36,23 +36,10 @@ struct CampaignOptions {
 
 CampaignOptions parse_campaign_options(int argc, char** argv) {
   CampaignOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--smoke") {
-      options.smoke = true;
-      continue;
-    }
-    if (arg == "--threads" && i + 1 < argc) {
-      value = argv[++i];
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      value = arg.substr(std::string("--threads=").size());
-    } else {
-      std::cerr << "usage: " << argv[0] << " [--threads N] [--smoke]\n";
-      std::exit(2);
-    }
-    options.threads = static_cast<std::size_t>(std::stoul(value));
-  }
+  util::Flags{"[--threads N] [--smoke]"}
+      .value("--threads", options.threads)
+      .on("--smoke", options.smoke)
+      .parse_or_exit(argc, argv);
   return options;
 }
 
@@ -138,12 +125,6 @@ CampaignRow run_point(apps::ProfileCache& cache, const std::string& app_name,
   return row;
 }
 
-std::string fmt(double value) {
-  std::ostringstream out;
-  out << std::setprecision(17) << value;
-  return out.str();
-}
-
 std::string campaign_csv(const std::vector<CampaignRow>& rows) {
   std::ostringstream out;
   out << "app,variant,scenario,rate,total_s,slowdown_vs_clean,"
@@ -161,8 +142,8 @@ std::string campaign_csv(const std::vector<CampaignRow>& rows) {
   };
   for (const CampaignRow& row : rows) {
     out << row.app << ',' << row.variant << ',' << row.scenario << ','
-        << fmt(row.rate) << ',' << fmt(row.total_seconds) << ','
-        << fmt(row.total_seconds / clean_of(row)) << ','
+        << decimal17(row.rate) << ',' << decimal17(row.total_seconds) << ','
+        << decimal17(row.total_seconds / clean_of(row)) << ','
         << row.stats.flits_corrupted << ','
         << row.stats.packets_retransmitted << ','
         << row.stats.retransmit_give_ups << ','
@@ -256,8 +237,8 @@ std::string smoke_json(const std::vector<CampaignRow>& rows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CampaignRow& row = rows[i];
     out << "    {\"app\": \"" << row.app << "\", \"variant\": \""
-        << row.variant << "\", \"rate\": " << fmt(row.rate)
-        << ", \"total_seconds\": " << fmt(row.total_seconds)
+        << row.variant << "\", \"rate\": " << decimal17(row.rate)
+        << ", \"total_seconds\": " << decimal17(row.total_seconds)
         << ", \"flits_corrupted\": " << row.stats.flits_corrupted
         << ", \"retransmits\": " << row.stats.packets_retransmitted
         << ", \"bus_errors\": " << row.stats.bus_errors
@@ -293,7 +274,7 @@ int main(int argc, char** argv) {
                            const std::string& variant,
                            const std::string& scenario, double rate) {
     const std::string key = "fault/" + app + "/" + variant + "/" +
-                            scenario + "/" + fmt(rate);
+                            scenario + "/" + decimal17(rate);
     jobs.push_back({key, [&cache, app, variant, scenario,
                           rate](sys::JobContext& ctx) {
                       faults::FaultSpec spec = spec_at_rate(rate, ctx.seed);

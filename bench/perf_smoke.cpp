@@ -218,19 +218,9 @@ double dse_sweep_seconds(std::uint64_t count, tiers::TierMode tier,
 
 int main(int argc, char** argv) {
   std::uint64_t dse_count = 1000;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--dse-count" && i + 1 < argc) {
-      value = argv[++i];
-    } else if (arg.rfind("--dse-count=", 0) == 0) {
-      value = arg.substr(std::string{"--dse-count="}.size());
-    } else {
-      std::cerr << "usage: " << argv[0] << " [--dse-count N]\n";
-      return 2;
-    }
-    dse_count = std::stoull(value);
-  }
+  util::Flags{"[--dse-count N]"}
+      .value("--dse-count", dse_count)
+      .parse_or_exit(argc, argv);
   const unsigned hw_threads = std::max(1U, std::thread::hardware_concurrency());
   std::cout << "perf_smoke: profiler / NoC / bus micro-workloads + "
                "phase breakdown + parallel batch + store restart ("

@@ -20,9 +20,14 @@
 
 int main(int argc, char** argv) {
   using namespace hybridic;
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
+  std::size_t threads = 0;
+  bool export_traces = false;  // A Chrome-trace JSON per app run.
+  util::Flags{"[--threads N] [--trace]"}
+      .value("--threads", threads)
+      .on("--trace", export_traces)
+      .parse_or_exit(argc, argv);
   apps::ProfileCache cache;
-  sys::BatchRunner runner{options.threads};
+  sys::BatchRunner runner{threads};
 
   const auto experiments = bench::run_all_experiments(cache, runner);
   std::ostringstream md;
@@ -156,7 +161,7 @@ int main(int argc, char** argv) {
 
   // ---- Optional Chrome-trace export (opt-in: JSON files are not part of
   // the committed byte-identical bench_results set).
-  if (options.trace) {
+  if (export_traces) {
     for (const auto& name : apps::paper_app_names()) {
       const sys::AppExperiment& exp = experiments.at(name);
       const std::string trace_path =

@@ -35,13 +35,14 @@
 #include "search/anneal.hpp"
 #include "sys/experiment.hpp"
 #include "util/csv.hpp"
+#include "util/text.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace {
 
 using namespace hybridic;
+using util::decimal17;
 
 struct Options {
   bool smoke = false;
@@ -50,31 +51,11 @@ struct Options {
 
 Options parse_options(int argc, char** argv) {
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--smoke") {
-      options.smoke = true;
-      continue;
-    }
-    if (arg == "--threads" && i + 1 < argc) {
-      value = argv[++i];
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      value = arg.substr(std::string("--threads=").size());
-    } else {
-      std::cerr << "usage: " << argv[0] << " [--smoke] [--threads N]\n";
-      std::exit(2);
-    }
-    options.threads = static_cast<std::size_t>(std::stoul(value));
-  }
+  util::Flags{"[--smoke] [--threads N]"}
+      .on("--smoke", options.smoke)
+      .value("--threads", options.threads)
+      .parse_or_exit(argc, argv);
   return options;
-}
-
-std::string fmt(double value) {
-  std::ostringstream out;
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << value;
-  return out.str();
 }
 
 struct Workload {
@@ -236,8 +217,9 @@ int main(int argc, char** argv) {
                    "threads_identical", "validator_issues"}};
     for (const SweepRow& row : rows) {
       csv.add_row({row.name, row.record.solution_tag,
-                   fmt(row.record.algorithm1_analytic_seconds),
-                   fmt(row.record.analytic_seconds), fmt(row.record.gain),
+                   decimal17(row.record.algorithm1_analytic_seconds),
+                   decimal17(row.record.analytic_seconds),
+                   decimal17(row.record.gain),
                    std::to_string(row.record.algorithm1_luts),
                    std::to_string(row.record.luts),
                    std::to_string(row.record.best_restart),

@@ -7,9 +7,9 @@
 
 int main(int argc, char** argv) {
   using namespace hybridic;
-  const bench::BenchOptions options = bench::parse_options(argc, argv);
+  const std::size_t threads = bench::parse_threads(argc, argv);
   apps::ProfileCache cache;
-  sys::BatchRunner runner{options.threads};
+  sys::BatchRunner runner{threads};
   const auto experiments = bench::run_all_experiments(cache, runner);
 
   Table table{

@@ -16,9 +16,7 @@
 // written to bench_results/topology_smoke.csv. All outputs are
 // byte-identical across reruns and --threads values: every cell is a pure
 // function of the (deterministic) profile and the design seed.
-#include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -30,10 +28,12 @@
 #include "sys/board_net.hpp"
 #include "sys/multi_board.hpp"
 #include "tiers/analytic.hpp"
+#include "util/text.hpp"
 
 namespace {
 
 using namespace hybridic;
+using util::decimal17;
 
 struct SweepOptions {
   std::size_t threads = 0;
@@ -42,23 +42,10 @@ struct SweepOptions {
 
 SweepOptions parse_sweep_options(int argc, char** argv) {
   SweepOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--smoke") {
-      options.smoke = true;
-      continue;
-    }
-    if (arg == "--threads" && i + 1 < argc) {
-      value = argv[++i];
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      value = arg.substr(std::string("--threads=").size());
-    } else {
-      std::cerr << "usage: " << argv[0] << " [--threads N] [--smoke]\n";
-      std::exit(2);
-    }
-    options.threads = static_cast<std::size_t>(std::stoul(value));
-  }
+  util::Flags{"[--threads N] [--smoke]"}
+      .value("--threads", options.threads)
+      .on("--smoke", options.smoke)
+      .parse_or_exit(argc, argv);
   return options;
 }
 
@@ -141,12 +128,6 @@ SweepRow run_point(apps::ProfileCache& cache, const std::string& app_name,
   return row;
 }
 
-std::string fmt(double value) {
-  std::ostringstream out;
-  out << std::setprecision(17) << value;
-  return out.str();
-}
-
 std::string sweep_csv(const std::vector<SweepRow>& rows) {
   std::ostringstream out;
   out << "app,topology,boards,scenario,total_s,analytic_mid_s,"
@@ -155,13 +136,13 @@ std::string sweep_csv(const std::vector<SweepRow>& rows) {
          "inter_busy_s,reroutes,refinement_moves\n";
   for (const SweepRow& row : rows) {
     out << row.app << ',' << row.topology << ',' << row.boards << ','
-        << row.scenario << ',' << fmt(row.total_seconds) << ','
-        << fmt(row.analytic_mid_seconds) << ','
-        << fmt(row.analytic_lower_seconds) << ','
-        << fmt(row.analytic_upper_seconds) << ',' << row.cut_bytes << ','
+        << row.scenario << ',' << decimal17(row.total_seconds) << ','
+        << decimal17(row.analytic_mid_seconds) << ','
+        << decimal17(row.analytic_lower_seconds) << ','
+        << decimal17(row.analytic_upper_seconds) << ',' << row.cut_bytes << ','
         << row.intra_bytes << ',' << row.profiled_bytes << ','
         << (row.conserved ? 1 : 0) << ',' << row.inter_transfers << ','
-        << row.inter_bytes << ',' << fmt(row.inter_busy_seconds) << ','
+        << row.inter_bytes << ',' << decimal17(row.inter_busy_seconds) << ','
         << row.reroutes << ',' << row.refinement_moves << '\n';
   }
   return out.str();

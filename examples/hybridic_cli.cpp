@@ -14,24 +14,26 @@
 //   --search     run the seeded annealer (src/search/) next to Algorithm 1
 //                and print the comparison; cycle tiers also validate the
 //                incumbent against its own analytic band
-//   --frames=N   report pipelined multi-frame throughput over N frames
-//   --fault-rate=R   inject faults at per-event rate R (CRC+retry on)
-//   --fault-seed=S   RNG seed for fault injection (default 1)
-//   --tier=MODE  evaluation tier: cycle (default) runs the cycle-accurate
+//   --frames N   report pipelined multi-frame throughput over N frames
+//   --fault-rate R   inject faults at per-event rate R (CRC+retry on)
+//   --fault-seed S   RNG seed for fault injection (default 1)
+//   --tier MODE  evaluation tier: cycle (default) runs the cycle-accurate
 //                engine as before; analytic prices the design with the
 //                fast tier only (no simulation — sim-only outputs are
 //                skipped with a note); auto runs both and reports whether
 //                the measured time landed inside the analytic band
-//   --boards=N   two-level design over N boards: min-cut board partition,
+//   --boards N   two-level design over N boards: min-cut board partition,
 //                then per-board Algorithm 1; N=1 (default) is the exact
 //                single-board pipeline
-//   --board-topology=T   inter-board network: chain | ring | mesh
-//   --store=DIR  persistent content-addressed profile store (docs/MODEL.md
+//   --board-topology T   inter-board network: chain | ring | mesh
+//   --store DIR  persistent content-addressed profile store (docs/MODEL.md
 //                §15): profiles load from DIR when present (skipping the
 //                QUAD pass) and fresh profiles are written back
 //   --all        everything above plus the system comparison (default)
 //   --version    print the engine revision and exit 0
 //   --help       print usage and exit 0
+//
+// Valued flags take `--flag V` or `--flag=V` (util/cli.hpp).
 //
 // Exit codes (scripted callers rely on these staying distinct):
 //   0  run completed and the application verified
@@ -70,6 +72,7 @@
 #include "store/store.hpp"
 #include "sys/timeline.hpp"
 #include "tiers/tiered_evaluator.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -79,49 +82,9 @@ namespace {
 
 constexpr int kExitVerified = 0;
 constexpr int kExitUnverified = 1;
-constexpr int kExitUsage = 2;
 constexpr int kExitConfig = 3;
 constexpr int kExitTimeout = 4;
 constexpr int kExitStore = 5;
-
-/// Thrown for malformed command lines; mapped to exit code 2.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// Strict unsigned parse: the whole string must be digits (no atoi
-/// silently-zero behaviour for "abc" or trailing junk for "12abc").
-std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  if (text.empty()) {
-    throw UsageError{what + " is empty"};
-  }
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      throw UsageError{what + " '" + text + "' is not a non-negative integer"};
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
-double parse_rate(const std::string& text) {
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &consumed);
-  } catch (const std::exception&) {
-    throw UsageError{"--fault-rate '" + text + "' is not a number"};
-  }
-  if (consumed != text.size()) {
-    throw UsageError{"--fault-rate '" + text + "' has trailing characters"};
-  }
-  return value;
-}
-
-const std::set<std::string> kKnownFlags = {
-    "--design", "--profile", "--dot",      "--memory", "--timeline",
-    "--trace",  "--json",    "--validate", "--search", "--all"};
 
 const std::set<std::string> kKnownApps = {"canny", "jpeg", "klt", "fluid"};
 
@@ -137,70 +100,78 @@ struct CliOptions {
   std::string board_topology = "chain";
 };
 
+/// The seed of a "synthetic:<seed>" app spec; UsageError when malformed.
+std::uint64_t synthetic_seed(const std::string& spec) {
+  return util::unsigned_flag("synthetic seed",
+                             spec.substr(std::string{"synthetic:"}.size()),
+                             UINT64_MAX);
+}
+
 /// Validate the whole command line up front, before any expensive work, so
 /// a typo in the last flag fails in milliseconds and not after a profile run.
 CliOptions parse_cli(int argc, char** argv) {
-  if (argc < 2) {
-    throw UsageError{"missing <app> argument"};
-  }
   CliOptions options;
-  options.app_spec = argv[1];
-  if (kKnownApps.count(options.app_spec) == 0) {
-    if (options.app_spec.rfind("synthetic:", 0) == 0) {
-      // Validate the seed now; the value is re-read in load_app.
-      (void)parse_u64(options.app_spec.substr(std::string{"synthetic:"}.size()),
-                      "synthetic seed");
-    } else {
-      throw UsageError{"unknown app '" + options.app_spec +
-                       "' (expected canny|jpeg|klt|fluid|synthetic:SEED)"};
+  util::Flags flags{
+      "<canny|jpeg|klt|fluid|synthetic:SEED> [--design] [--profile] [--dot]"
+      " [--memory] [--timeline] [--trace] [--json] [--validate] [--search]"
+      " [--frames N] [--fault-rate R] [--fault-seed S]"
+      " [--tier auto|analytic|cycle] [--store DIR] [--boards N]"
+      " [--board-topology chain|ring|mesh] [--all]",
+      "  --store DIR  reuse profiles from (and publish them to) a persistent\n"
+      "               content-addressed store; exit code 5 when DIR is"
+      " unusable\n"};
+  flags.version("hybridic_cli engine revision " +
+                std::to_string(store::kEngineRevision));
+  flags.value("--frames", options.frames)
+      .value("--fault-rate", options.fault_rate)
+      .value("--fault-seed", options.fault_seed)
+      .value("--store", options.store_dir);
+  flags.positional([&options](const std::string& app) {
+    if (!options.app_spec.empty()) {
+      throw util::UsageError{"unexpected argument '" + app + "'"};
     }
-  }
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--frames=", 0) == 0) {
-      options.frames = static_cast<std::uint32_t>(parse_u64(
-          arg.substr(std::string{"--frames="}.size()), "--frames"));
-    } else if (arg.rfind("--fault-rate=", 0) == 0) {
-      options.fault_rate =
-          parse_rate(arg.substr(std::string{"--fault-rate="}.size()));
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      options.fault_seed = parse_u64(
-          arg.substr(std::string{"--fault-seed="}.size()), "--fault-seed");
-    } else if (arg.rfind("--tier=", 0) == 0) {
-      const std::string value = arg.substr(std::string{"--tier="}.size());
-      const auto mode = tiers::parse_tier_mode(value);
-      if (!mode) {
-        throw UsageError{"unknown --tier value '" + value +
-                         "' (expected auto, analytic, or cycle)"};
+    if (kKnownApps.count(app) == 0) {
+      if (app.rfind("synthetic:", 0) != 0) {
+        throw util::UsageError{
+            "unknown app '" + app +
+            "' (expected canny|jpeg|klt|fluid|synthetic:SEED)"};
       }
-      options.tier = *mode;
-    } else if (arg.rfind("--store=", 0) == 0) {
-      options.store_dir = arg.substr(std::string{"--store="}.size());
-      if (options.store_dir.empty()) {
-        throw UsageError{"--store needs a directory path"};
-      }
-    } else if (arg.rfind("--boards=", 0) == 0) {
-      options.boards = static_cast<std::uint32_t>(parse_u64(
-          arg.substr(std::string{"--boards="}.size()), "--boards"));
-      if (options.boards == 0) {
-        throw UsageError{"--boards must be >= 1"};
-      }
-    } else if (arg.rfind("--board-topology=", 0) == 0) {
-      options.board_topology =
-          arg.substr(std::string{"--board-topology="}.size());
-      if (options.board_topology != "chain" &&
-          options.board_topology != "ring" &&
-          options.board_topology != "mesh") {
-        throw UsageError{"unknown --board-topology value '" +
-                         options.board_topology +
-                         "' (expected chain, ring, or mesh)"};
-      }
-    } else if (kKnownFlags.count(arg) > 0) {
-      options.flags.insert(arg);
-    } else {
-      throw UsageError{"unknown flag '" + arg + "'"};
+      (void)synthetic_seed(app);  // Re-read by load_app.
     }
+    options.app_spec = app;
+  });
+  flags.value("--tier", [&options](const std::string& value) {
+    const auto mode = tiers::parse_tier_mode(value);
+    if (!mode) {
+      throw util::UsageError{"unknown --tier value '" + value +
+                             "' (expected auto, analytic, or cycle)"};
+    }
+    options.tier = *mode;
+  });
+  flags.value("--boards", [&options](const std::string& value) {
+    options.boards = static_cast<std::uint32_t>(
+        util::unsigned_flag("--boards", value, UINT32_MAX));
+    if (options.boards == 0) {
+      throw util::UsageError{"--boards must be >= 1"};
+    }
+  });
+  flags.value("--board-topology", [&options](const std::string& value) {
+    if (value != "chain" && value != "ring" && value != "mesh") {
+      throw util::UsageError{"unknown --board-topology value '" + value +
+                             "' (expected chain, ring, or mesh)"};
+    }
+    options.board_topology = value;
+  });
+  for (const std::string name :
+       {"--design", "--profile", "--dot", "--memory", "--timeline", "--trace",
+        "--json", "--validate", "--search", "--all"}) {
+    flags.on(name, [&options, name] { options.flags.insert(name); });
   }
+  flags.parse_or_exit(argc, argv, [&options] {
+    if (options.app_spec.empty()) {
+      throw util::UsageError{"missing <app> argument"};
+    }
+  });
   return options;
 }
 
@@ -216,24 +187,10 @@ std::shared_ptr<const apps::ProfiledApp> load_app(
   }
   if (spec.rfind("synthetic:", 0) == 0) {
     apps::SyntheticConfig config;
-    config.seed =
-        parse_u64(spec.substr(std::string{"synthetic:"}.size()), "seed");
+    config.seed = synthetic_seed(spec);
     return cache.synthetic_app(config);
   }
   return cache.paper_app(spec);
-}
-
-void print_usage() {
-  std::cout << "usage: hybridic_cli <canny|jpeg|klt|fluid|synthetic:SEED>"
-               " [--design] [--profile] [--dot] [--memory] [--timeline]"
-               " [--trace] [--json] [--validate] [--search] [--frames=N]"
-               " [--fault-rate=R] [--fault-seed=S]"
-               " [--tier=auto|analytic|cycle] [--store=DIR]"
-               " [--boards=N] [--board-topology=chain|ring|mesh] [--all]\n"
-               "  --store=DIR  reuse profiles from (and publish them to) a"
-               " persistent\n"
-               "               content-addressed store; exit code 5 when DIR"
-               " is unusable\n";
 }
 
 /// The analytic tier's one-screen summary (docs/MODEL.md §14).
@@ -551,25 +508,7 @@ int run_cli(const CliOptions& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string{argv[i]} == "--help") {
-      print_usage();
-      return kExitVerified;
-    }
-    if (std::string{argv[i]} == "--version") {
-      std::cout << "hybridic_cli engine revision "
-                << hybridic::store::kEngineRevision << "\n";
-      return kExitVerified;
-    }
-  }
-  CliOptions cli;
-  try {
-    cli = parse_cli(argc, argv);
-  } catch (const UsageError& error) {
-    std::cerr << "usage error: " << error.what() << "\n";
-    print_usage();
-    return kExitUsage;
-  }
+  const CliOptions cli = parse_cli(argc, argv);
   try {
     return run_cli(cli);
   } catch (const SimTimeoutError& error) {

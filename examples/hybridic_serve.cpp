@@ -6,7 +6,9 @@
 // process is long-lived: the profile cache and the tiered evaluator stay
 // warm across requests, so repeated shapes are served from memory.
 //
-// Request fields (all optional; unknown keys are usage errors):
+// Lines are read with the JSON dialect of util/json.hpp. Request fields
+// (all optional; unknown keys are usage errors, and integer fields take
+// only plain non-negative integers in range):
 //   id               echoed verbatim in the response
 //   op               "design" (default) | "search" | "stats"
 //   seed, kernels, hosts, boards          integers
@@ -34,14 +36,8 @@
 // Shutdown: EOF on stdin, SIGINT or SIGTERM. The server finishes the
 // in-flight request, prints its counters to stderr and exits 0.
 #include <atomic>
-#include <cctype>
-#include <csignal>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <iostream>
-#include <limits>
-#include <map>
 #include <sstream>
 #include <string>
 
@@ -53,218 +49,19 @@
 #include "sys/batch_runner.hpp"
 #include "sys/experiment.hpp"
 #include "tiers/tiered_evaluator.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
+#include "util/text.hpp"
 
 namespace {
 
 using namespace hybridic;
+using util::decimal17;
+using util::json_escape;
+using util::JsonValue;
 
 std::atomic<bool> g_stop{false};
-
-void handle_stop_signal(int) {
-  g_stop.store(true, std::memory_order_relaxed);
-}
-
-void install_signal_handlers() {
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = handle_stop_signal;
-  sigemptyset(&sa.sa_mask);
-  // No SA_RESTART: a signal must interrupt the blocking stdin read so the
-  // serve loop can notice the stop and shut down in order.
-  sa.sa_flags = 0;
-  sigaction(SIGINT, &sa, nullptr);
-  sigaction(SIGTERM, &sa, nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// Minimal strict JSON: one flat object of string / number / bool values.
-// Anything else (arrays, nesting, null, trailing junk) is a usage error —
-// the protocol is deliberately narrow so damage is rejected, not guessed
-// at.
-
-struct JsonValue {
-  enum class Kind { kString, kNumber, kBool } kind = Kind::kString;
-  std::string text;  ///< Raw text: decoded string, number spelling, 0/1.
-};
-
-class FlatJsonParser {
-public:
-  explicit FlatJsonParser(const std::string& line) : text_(line) {}
-
-  /// Parse into `out`; on failure returns false and sets `error`.
-  bool parse(std::map<std::string, JsonValue>& out, std::string& error) {
-    skip_ws();
-    if (!take('{')) {
-      error = "expected '{'";
-      return false;
-    }
-    skip_ws();
-    if (take('}')) {
-      return finish(error);
-    }
-    while (true) {
-      std::string key;
-      if (!parse_string(key)) {
-        error = "expected a string key";
-        return false;
-      }
-      skip_ws();
-      if (!take(':')) {
-        error = "expected ':' after key \"" + key + "\"";
-        return false;
-      }
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) {
-        error = "bad value for key \"" + key + "\"";
-        return false;
-      }
-      if (!out.emplace(key, std::move(value)).second) {
-        error = "duplicate key \"" + key + "\"";
-        return false;
-      }
-      skip_ws();
-      if (take(',')) {
-        skip_ws();
-        continue;
-      }
-      if (take('}')) {
-        return finish(error);
-      }
-      error = "expected ',' or '}'";
-      return false;
-    }
-  }
-
-private:
-  bool finish(std::string& error) {
-    skip_ws();
-    if (pos_ != text_.size()) {
-      error = "trailing characters after '}'";
-      return false;
-    }
-    return true;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool take(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!take('"')) {
-      return false;
-    }
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          return false;
-        }
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          default: return false;  // \uXXXX et al: out of protocol.
-        }
-        continue;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return false;
-      }
-      out.push_back(c);
-    }
-    return false;
-  }
-
-  bool parse_value(JsonValue& out) {
-    if (pos_ < text_.size() && text_[pos_] == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return parse_string(out.text);
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      out = {JsonValue::Kind::kBool, "1"};
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      out = {JsonValue::Kind::kBool, "0"};
-      return true;
-    }
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    bool digits = false;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      digits = digits ||
-               std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0;
-      ++pos_;
-    }
-    if (!digits) {
-      return false;
-    }
-    out.kind = JsonValue::Kind::kNumber;
-    out.text = text_.substr(start, pos_ - start);
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double value) {
-  std::ostringstream out;
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << value;
-  return out.str();
-}
 
 // ---------------------------------------------------------------------------
 // Error taxonomy: the structured mirror of the CLI exit-code scheme, so a
@@ -317,43 +114,20 @@ struct Request {
 };
 
 bool parse_u64_field(const JsonValue& v, std::uint64_t& out) {
-  if (v.kind != JsonValue::Kind::kNumber) {
-    return false;
-  }
-  try {
-    std::size_t used = 0;
-    out = std::stoull(v.text, &used);
-    return used == v.text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+  return v.kind == JsonValue::Kind::kNumber && util::parse_u64(v.text, out);
 }
 
 bool parse_u32_field(const JsonValue& v, std::uint32_t& out) {
-  std::uint64_t wide = 0;
-  if (!parse_u64_field(v, wide) || wide > UINT32_MAX) {
-    return false;
-  }
-  out = static_cast<std::uint32_t>(wide);
-  return true;
+  return v.kind == JsonValue::Kind::kNumber && util::parse_u32(v.text, out);
 }
 
 bool parse_double_field(const JsonValue& v, double& out) {
-  if (v.kind != JsonValue::Kind::kNumber) {
-    return false;
-  }
-  try {
-    std::size_t used = 0;
-    out = std::stod(v.text, &used);
-    return used == v.text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+  return v.kind == JsonValue::Kind::kNumber && util::parse_double(v.text, out);
 }
 
 /// Decode one parsed object into a Request; returns false with a usage
 /// message on any unknown key or ill-typed value.
-bool decode_request(const std::map<std::string, JsonValue>& fields,
+bool decode_request(const util::JsonObject& fields,
                     Request& request, std::string& error) {
   for (const auto& [key, value] : fields) {
     bool ok = true;
@@ -442,26 +216,26 @@ ServeReply run_design(const Request& request,
           evaluator.estimate(c.schedule, c.exp.proposed_design);
       out << ",\"solution\":\""
           << json_escape(c.exp.proposed_design.solution_tag())
-          << "\",\"baseline_s\":" << json_number(c.exp.baseline.total_seconds)
-          << ",\"designed_s\":" << json_number(c.exp.proposed.total_seconds)
-          << ",\"crossbar_s\":" << json_number(c.crossbar.total_seconds)
+          << "\",\"baseline_s\":" << decimal17(c.exp.baseline.total_seconds)
+          << ",\"designed_s\":" << decimal17(c.exp.proposed.total_seconds)
+          << ",\"crossbar_s\":" << decimal17(c.crossbar.total_seconds)
           << ",\"pipelined_makespan_s\":"
-          << json_number(c.pipelined.makespan_seconds)
+          << decimal17(c.pipelined.makespan_seconds)
           << ",\"analytic_designed_s\":"
-          << json_number(estimate.designed_kernel_seconds);
+          << decimal17(estimate.designed_kernel_seconds);
     } else {
       tiers::AnalyticCase analytic =
           evaluator.analyze(request.config, &cache);
       out << ",\"solution\":\""
           << json_escape(analytic.proposed.solution_tag())
           << "\",\"analytic_baseline_s\":"
-          << json_number(analytic.estimate.baseline_kernel_seconds)
+          << decimal17(analytic.estimate.baseline_kernel_seconds)
           << ",\"analytic_designed_s\":"
-          << json_number(analytic.estimate.designed_kernel_seconds)
+          << decimal17(analytic.estimate.designed_kernel_seconds)
           << ",\"analytic_lo_s\":"
-          << json_number(analytic.estimate.designed_lower_seconds)
+          << decimal17(analytic.estimate.designed_lower_seconds)
           << ",\"analytic_hi_s\":"
-          << json_number(analytic.estimate.designed_upper_seconds);
+          << decimal17(analytic.estimate.designed_upper_seconds);
     }
     out << "}";
     reply.json = out.str();
@@ -503,11 +277,11 @@ ServeReply run_search(const Request& request,
     out << "\"ok\":true,\"tier\":\"" << tiers::to_string(request.tier)
         << "\",\"solution\":\"" << json_escape(record.solution_tag)
         << "\",\"searched_analytic_s\":"
-        << json_number(record.analytic_seconds) << ",\"alg1_analytic_s\":"
-        << json_number(record.algorithm1_analytic_seconds)
+        << decimal17(record.analytic_seconds) << ",\"alg1_analytic_s\":"
+        << decimal17(record.algorithm1_analytic_seconds)
         << ",\"searched_luts\":" << record.luts
         << ",\"alg1_luts\":" << record.algorithm1_luts
-        << ",\"gain\":" << json_number(record.gain)
+        << ",\"gain\":" << decimal17(record.gain)
         << ",\"best_restart\":" << record.best_restart
         << ",\"proposed\":" << record.proposed
         << ",\"accepted\":" << record.accepted
@@ -515,7 +289,7 @@ ServeReply run_search(const Request& request,
         << ",\"cache_hits\":" << record.cache_hits;
     if (result.cycle.has_value()) {
       out << ",\"cycle_s\":"
-          << json_number(result.cycle->measured_kernel_seconds)
+          << decimal17(result.cycle->measured_kernel_seconds)
           << ",\"within_band\":"
           << (result.cycle->within_band ? "true" : "false");
     }
@@ -537,29 +311,18 @@ ServeReply run_search(const Request& request,
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--version") {
-      std::cout << "hybridic_serve engine revision "
-                << store::kEngineRevision << "\n";
-      return 0;
-    }
-    if (arg == "--help") {
-      std::cout
-          << "usage: " << argv[0] << "\n"
-          << "\n"
-          << "JSON-lines server: one flat JSON request per stdin line,\n"
-          << "one JSON response per stdout line. See the header comment\n"
-          << "of examples/hybridic_serve.cpp (and docs/MODEL.md section\n"
-          << "17) for\n"
-          << "the request schema and the error taxonomy. Exits 0 on EOF\n"
-          << "or SIGINT/SIGTERM after finishing the in-flight request.\n";
-      return 0;
-    }
-    std::cerr << "unknown flag '" << arg << "'\n";
-    return 2;
-  }
-  install_signal_handlers();
+  util::Flags{"",
+              "\n"
+              "JSON-lines server: one flat JSON request per stdin line,\n"
+              "one JSON response per stdout line. See the header comment\n"
+              "of examples/hybridic_serve.cpp (and docs/MODEL.md section\n"
+              "17) for\n"
+              "the request schema and the error taxonomy. Exits 0 on EOF\n"
+              "or SIGINT/SIGTERM after finishing the in-flight request.\n"}
+      .version("hybridic_serve engine revision " +
+               std::to_string(store::kEngineRevision))
+      .parse_or_exit(argc, argv);
+  util::install_stop_signals(g_stop);
 
   tiers::TieredEvaluator evaluator;
   apps::ProfileCache cache;
@@ -573,11 +336,10 @@ int main(int argc, char** argv) {
     }
     ++counters.requests;
 
-    std::map<std::string, JsonValue> fields;
+    util::JsonObject fields;
     Request request;
     std::string parse_error;
-    FlatJsonParser parser{line};
-    if (!parser.parse(fields, parse_error) ||
+    if (!util::parse_json_object(line, fields, parse_error) ||
         !decode_request(fields, request, parse_error)) {
       ++counters.failed;
       std::cout << "{\"id\":\"" << json_escape(request.id) << "\","

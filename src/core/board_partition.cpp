@@ -4,20 +4,9 @@
 #include <set>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace hybridic::core {
-
-namespace {
-
-/// splitmix64 — the repo's standard deterministic hash/stream seeder.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* to_string(BoardTopology topology) {
   switch (topology) {
@@ -117,8 +106,8 @@ BoardPartition partition_boards(const BoardPartitionInput& input) {
                 if (traffic[a] != traffic[b]) {
                   return traffic[a] > traffic[b];
                 }
-                const std::uint64_t ha = splitmix64(input.seed ^ a);
-                const std::uint64_t hb = splitmix64(input.seed ^ b);
+                const std::uint64_t ha = util::splitmix64(input.seed ^ a);
+                const std::uint64_t hb = util::splitmix64(input.seed ^ b);
                 if (ha != hb) {
                   return ha < hb;
                 }

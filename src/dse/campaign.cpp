@@ -17,30 +17,20 @@
 #include "store/journal.hpp"
 #include "sys/batch_runner.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::dse {
 namespace {
 
-std::string fmt(double value) {
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
-}
+using util::decimal17;
+using util::hex16;
 
+/// The CSV congruence_key column: lower-case hex without padding.
 std::string hex_key(std::uint64_t key) {
   std::ostringstream out;
   out << std::hex << key;
   return out.str();
-}
-
-std::string hex16(std::uint64_t h) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (std::size_t i = 0; i < 16; ++i) {
-    out[i] = kDigits[(h >> (60 - 4 * i)) & 0xF];
-  }
-  return out;
 }
 
 /// 16-hex content hash of a row's profile identity: the exact string the
@@ -415,7 +405,7 @@ std::vector<CaseOutcome> run_case_batch(
 }  // namespace
 
 std::string campaign_fingerprint(const CampaignOptions& options) {
-  using store::hexf;
+  using util::hexf;
   const SweepSpace& space = options.space;
   const OracleBounds& bounds = options.bounds;
   std::ostringstream s;
@@ -455,7 +445,7 @@ apps::SyntheticConfig sample_config(const SweepSpace& space,
                                     std::uint64_t index) {
   // One private stream per (campaign, index); splitmix seeding decorrelates
   // neighbouring indices.
-  Rng rng{campaign_seed * 0x9E3779B97F4A7C15ULL + index + 1};
+  Rng rng{campaign_seed * util::kGoldenGamma + index + 1};
 
   apps::SyntheticConfig config;
   config.kernel_count = static_cast<std::uint32_t>(
@@ -844,19 +834,20 @@ std::string campaign_csv(const CampaignResult& result) {
   out << ",quarantined,error\n";
   for (const CaseOutcome& c : result.cases) {
     out << c.index << ',' << c.config.seed << ',' << c.config.kernel_count
-        << ',' << fmt(c.config.kernel_edge_probability) << ','
+        << ',' << decimal17(c.config.kernel_edge_probability) << ','
         << c.config.min_edge_bytes << ',' << c.config.max_edge_bytes << ','
         << c.config.min_work_units << ',' << c.config.max_work_units << ','
-        << fmt(c.config.duplicable_probability) << ','
-        << fmt(c.config.streaming_probability) << ','
+        << decimal17(c.config.duplicable_probability) << ','
+        << decimal17(c.config.streaming_probability) << ','
         << csv_safe(c.solution_tag);
     // Analytic-only rows never ran a simulator: their cycle timings are
     // "-" (absent), not zero.
     if (c.simulated) {
-      out << ',' << fmt(c.baseline_seconds) << ',' << fmt(c.designed_seconds)
-          << ',' << fmt(c.crossbar_seconds) << ','
-          << fmt(c.pipelined_makespan_seconds) << ','
-          << fmt(c.measured_designed_kernel_seconds);
+      out << ',' << decimal17(c.baseline_seconds) << ','
+          << decimal17(c.designed_seconds) << ','
+          << decimal17(c.crossbar_seconds) << ','
+          << decimal17(c.pipelined_makespan_seconds) << ','
+          << decimal17(c.measured_designed_kernel_seconds);
     } else {
       out << ",-,-,-,-,-";
     }
@@ -878,10 +869,10 @@ std::string campaign_csv(const CampaignResult& result) {
       out << ',' << c.tier_name() << ',' << to_string(c.escalation);
     }
     if (c.analytic.has_value()) {
-      out << ',' << fmt(c.analytic->baseline_kernel_seconds) << ','
-          << fmt(c.analytic->designed_kernel_seconds) << ','
-          << fmt(c.analytic->designed_lower_seconds) << ','
-          << fmt(c.analytic->designed_upper_seconds) << ','
+      out << ',' << decimal17(c.analytic->baseline_kernel_seconds) << ','
+          << decimal17(c.analytic->designed_kernel_seconds) << ','
+          << decimal17(c.analytic->designed_lower_seconds) << ','
+          << decimal17(c.analytic->designed_upper_seconds) << ','
           << c.analytic->noc_hop_bytes << ','
           << hex_key(c.analytic->congruence_key) << ','
           << (c.congruent ? '1' : '0');
@@ -897,9 +888,9 @@ std::string campaign_csv(const CampaignResult& result) {
       if (c.searched.has_value()) {
         const search::SearchRecord& s = *c.searched;
         out << ',' << csv_safe(s.solution_tag) << ','
-            << fmt(s.analytic_seconds) << ','
-            << fmt(s.algorithm1_analytic_seconds) << ',' << s.luts << ','
-            << s.algorithm1_luts << ',' << fmt(s.gain) << ','
+            << decimal17(s.analytic_seconds) << ','
+            << decimal17(s.algorithm1_analytic_seconds) << ',' << s.luts << ','
+            << s.algorithm1_luts << ',' << decimal17(s.gain) << ','
             << s.best_restart << ',' << s.proposed << ',' << s.accepted
             << ',' << s.rejected_illegal << ',' << s.cache_hits;
       } else {
@@ -911,7 +902,7 @@ std::string campaign_csv(const CampaignResult& result) {
           << ',' << c.cut_bytes;
       // The multi run only exists on simulated multi-board rows.
       if (c.simulated && c.config.board_count > 1) {
-        out << ',' << fmt(c.multi_total_seconds) << ','
+        out << ',' << decimal17(c.multi_total_seconds) << ','
             << c.inter_board_bytes << ',' << c.board_link_reroutes;
       } else {
         out << ",-,-,-";

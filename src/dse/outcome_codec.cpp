@@ -1,150 +1,23 @@
 #include "dse/outcome_codec.hpp"
 
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
 #include "store/codec.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::dse {
 
-namespace {
+using util::hexf;
+using util::parse_bool;
+using util::parse_double;
+using util::parse_u32;
+using util::parse_u64;
+using util::split_fields;
 
 constexpr const char* kMagic = "outcome 1";
 
-/// Sequential line reader mirroring the store codec's damage discipline:
-/// every take_* returns false on any shape violation, and the decoder
-/// bails out to nullopt.
-class Reader {
-public:
-  explicit Reader(const std::string& text) : text_(text) {}
-
-  bool take_line(std::string& line) {
-    const std::size_t nl = text_.find('\n', pos_);
-    if (nl == std::string::npos) {
-      return false;
-    }
-    line.assign(text_, pos_, nl - pos_);
-    pos_ = nl + 1;
-    return true;
-  }
-
-  bool take_tagged(const std::string& tag, std::string& rest) {
-    std::string line;
-    if (!take_line(line) || line.rfind(tag + " ", 0) != 0) {
-      return false;
-    }
-    rest = line.substr(tag.size() + 1);
-    return true;
-  }
-
-  bool take_exact(const std::string& expected) {
-    std::string line;
-    return take_line(line) && line == expected;
-  }
-
-  /// "<tag> <len>" line followed by exactly len raw bytes and a newline.
-  bool take_sized(const std::string& tag, std::string& value) {
-    std::string rest;
-    std::uint64_t len = 0;
-    if (!take_tagged(tag, rest) || !parse_u64(rest, len)) {
-      return false;
-    }
-    if (pos_ + len + 1 > text_.size() || text_[pos_ + len] != '\n') {
-      return false;
-    }
-    value.assign(text_, pos_, len);
-    pos_ += len + 1;
-    return true;
-  }
-
-  /// Exactly `len` raw bytes followed by a newline (the body of a sized
-  /// field whose tag line was already consumed).
-  bool take_raw(std::uint64_t len, std::string& value) {
-    if (pos_ + len + 1 > text_.size() || text_[pos_ + len] != '\n') {
-      return false;
-    }
-    value.assign(text_, pos_, len);
-    pos_ += len + 1;
-    return true;
-  }
-
-  [[nodiscard]] bool at_end() const { return pos_ == text_.size(); }
-
-  static bool parse_u64(const std::string& text, std::uint64_t& value) {
-    if (text.empty()) {
-      return false;
-    }
-    value = 0;
-    for (const char c : text) {
-      if (c < '0' || c > '9') {
-        return false;
-      }
-      if (value > (UINT64_MAX - static_cast<std::uint64_t>(c - '0')) / 10) {
-        return false;
-      }
-      value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return true;
-  }
-
-  static bool parse_double(const std::string& text, double& value) {
-    if (text.empty()) {
-      return false;
-    }
-    char* end = nullptr;
-    value = std::strtod(text.c_str(), &end);
-    return end != nullptr && *end == '\0';
-  }
-
-private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const std::size_t sp = line.find(' ', pos);
-    const std::size_t end = sp == std::string::npos ? line.size() : sp;
-    if (end == pos) {
-      return {};  // Empty field — malformed.
-    }
-    fields.push_back(line.substr(pos, end - pos));
-    pos = end + (sp == std::string::npos ? 0 : 1);
-    if (sp != std::string::npos && pos == line.size()) {
-      return {};  // Trailing space.
-    }
-  }
-  return fields;
-}
-
-bool parse_bool(const std::string& text, bool& value) {
-  if (text == "0") {
-    value = false;
-    return true;
-  }
-  if (text == "1") {
-    value = true;
-    return true;
-  }
-  return false;
-}
-
-bool parse_u32(const std::string& text, std::uint32_t& value) {
-  std::uint64_t wide = 0;
-  if (!Reader::parse_u64(text, wide) || wide > UINT32_MAX) {
-    return false;
-  }
-  value = static_cast<std::uint32_t>(wide);
-  return true;
-}
-
-}  // namespace
-
 std::string encode_outcome(const CaseOutcome& o) {
-  using store::hexf;
   std::ostringstream out;
   out << kMagic << '\n';
   out << "index " << o.index << '\n';
@@ -198,14 +71,14 @@ std::string encode_outcome(const CaseOutcome& o) {
 }
 
 std::optional<CaseOutcome> decode_outcome(const std::string& payload) {
-  Reader reader{payload};
+  util::LineReader reader{payload};
   if (!reader.take_exact(kMagic)) {
     return std::nullopt;
   }
   CaseOutcome o;
   std::string rest;
   if (!reader.take_tagged("index", rest) ||
-      !Reader::parse_u64(rest, o.index)) {
+      !parse_u64(rest, o.index)) {
     return std::nullopt;
   }
   if (!reader.take_tagged("config", rest)) {
@@ -216,14 +89,14 @@ std::optional<CaseOutcome> decode_outcome(const std::string& payload) {
     apps::SyntheticConfig& c = o.config;
     if (f.size() != 11 || !parse_u32(f[0], c.kernel_count) ||
         !parse_u32(f[1], c.host_function_count) ||
-        !Reader::parse_double(f[2], c.kernel_edge_probability) ||
-        !Reader::parse_u64(f[3], c.min_edge_bytes) ||
-        !Reader::parse_u64(f[4], c.max_edge_bytes) ||
-        !Reader::parse_u64(f[5], c.min_work_units) ||
-        !Reader::parse_u64(f[6], c.max_work_units) ||
-        !Reader::parse_double(f[7], c.duplicable_probability) ||
-        !Reader::parse_double(f[8], c.streaming_probability) ||
-        !Reader::parse_u64(f[9], c.seed) ||
+        !parse_double(f[2], c.kernel_edge_probability) ||
+        !parse_u64(f[3], c.min_edge_bytes) ||
+        !parse_u64(f[4], c.max_edge_bytes) ||
+        !parse_u64(f[5], c.min_work_units) ||
+        !parse_u64(f[6], c.max_work_units) ||
+        !parse_double(f[7], c.duplicable_probability) ||
+        !parse_double(f[8], c.streaming_probability) ||
+        !parse_u64(f[9], c.seed) ||
         !parse_u32(f[10], c.board_count)) {
       return std::nullopt;
     }
@@ -237,11 +110,11 @@ std::optional<CaseOutcome> decode_outcome(const std::string& payload) {
   }
   {
     const std::vector<std::string> f = split_fields(rest);
-    if (f.size() != 5 || !Reader::parse_double(f[0], o.baseline_seconds) ||
-        !Reader::parse_double(f[1], o.designed_seconds) ||
-        !Reader::parse_double(f[2], o.crossbar_seconds) ||
-        !Reader::parse_double(f[3], o.pipelined_makespan_seconds) ||
-        !Reader::parse_double(f[4], o.measured_designed_kernel_seconds)) {
+    if (f.size() != 5 || !parse_double(f[0], o.baseline_seconds) ||
+        !parse_double(f[1], o.designed_seconds) ||
+        !parse_double(f[2], o.crossbar_seconds) ||
+        !parse_double(f[3], o.pipelined_makespan_seconds) ||
+        !parse_double(f[4], o.measured_designed_kernel_seconds)) {
       return std::nullopt;
     }
   }
@@ -252,7 +125,7 @@ std::optional<CaseOutcome> decode_outcome(const std::string& payload) {
     const std::vector<std::string> f = split_fields(rest);
     std::uint64_t escalation = 0;
     if (f.size() != 5 || !parse_bool(f[0], o.simulated) ||
-        !Reader::parse_u64(f[1], escalation) || escalation > 3 ||
+        !parse_u64(f[1], escalation) || escalation > 3 ||
         !parse_bool(f[2], o.band_violation) ||
         !parse_bool(f[3], o.quarantined) || !parse_bool(f[4], o.skipped)) {
       return std::nullopt;
@@ -265,16 +138,16 @@ std::optional<CaseOutcome> decode_outcome(const std::string& payload) {
   {
     const std::vector<std::string> f = split_fields(rest);
     if (f.size() != 4 ||
-        !Reader::parse_double(f[0], o.multi_total_seconds) ||
-        !Reader::parse_u64(f[1], o.cut_bytes) ||
-        !Reader::parse_u64(f[2], o.inter_board_bytes) ||
-        !Reader::parse_u64(f[3], o.board_link_reroutes)) {
+        !parse_double(f[0], o.multi_total_seconds) ||
+        !parse_u64(f[1], o.cut_bytes) ||
+        !parse_u64(f[2], o.inter_board_bytes) ||
+        !parse_u64(f[3], o.board_link_reroutes)) {
       return std::nullopt;
     }
   }
   std::uint64_t oracle_count = 0;
   if (!reader.take_tagged("oracles", rest) ||
-      !Reader::parse_u64(rest, oracle_count) || oracle_count > 1024) {
+      !parse_u64(rest, oracle_count) || oracle_count > 1024) {
     return std::nullopt;
   }
   for (std::uint64_t i = 0; i < oracle_count; ++i) {
@@ -288,7 +161,7 @@ std::optional<CaseOutcome> decode_outcome(const std::string& payload) {
     std::uint64_t name_len = 0;
     if (sp == std::string::npos ||
         !parse_bool(rest.substr(0, sp), r.pass) ||
-        !Reader::parse_u64(rest.substr(sp + 1), name_len)) {
+        !parse_u64(rest.substr(sp + 1), name_len)) {
       return std::nullopt;
     }
     std::string name_line;
@@ -309,7 +182,7 @@ std::optional<CaseOutcome> decode_outcome(const std::string& payload) {
   }
   if (rest != "-") {
     std::uint64_t blob_len = 0;
-    if (!Reader::parse_u64(rest, blob_len)) {
+    if (!parse_u64(rest, blob_len)) {
       return std::nullopt;
     }
     std::string blob;
@@ -334,23 +207,23 @@ std::optional<CaseOutcome> decode_outcome(const std::string& payload) {
     std::uint64_t tag_len = 0;
     search::SearchRecord s;
     if (line.rfind(tag, 0) != 0 ||
-        !Reader::parse_u64(line.substr(tag.size()), tag_len) ||
+        !parse_u64(line.substr(tag.size()), tag_len) ||
         !reader.take_raw(tag_len, s.solution_tag) ||
         !reader.take_tagged("searched", rest)) {
       return std::nullopt;
     }
     const std::vector<std::string> f = split_fields(rest);
     if (f.size() != 10 ||
-        !Reader::parse_double(f[0], s.analytic_seconds) ||
-        !Reader::parse_double(f[1], s.algorithm1_analytic_seconds) ||
-        !Reader::parse_double(f[2], s.gain) ||
-        !Reader::parse_u64(f[3], s.luts) ||
-        !Reader::parse_u64(f[4], s.algorithm1_luts) ||
+        !parse_double(f[0], s.analytic_seconds) ||
+        !parse_double(f[1], s.algorithm1_analytic_seconds) ||
+        !parse_double(f[2], s.gain) ||
+        !parse_u64(f[3], s.luts) ||
+        !parse_u64(f[4], s.algorithm1_luts) ||
         !parse_u32(f[5], s.best_restart) ||
-        !Reader::parse_u64(f[6], s.proposed) ||
-        !Reader::parse_u64(f[7], s.accepted) ||
-        !Reader::parse_u64(f[8], s.rejected_illegal) ||
-        !Reader::parse_u64(f[9], s.cache_hits)) {
+        !parse_u64(f[6], s.proposed) ||
+        !parse_u64(f[7], s.accepted) ||
+        !parse_u64(f[8], s.rejected_illegal) ||
+        !parse_u64(f[9], s.cache_hits)) {
       return std::nullopt;
     }
     o.searched = std::move(s);

@@ -3,7 +3,7 @@
 // The run journal records one encoded CaseOutcome per completed job so a
 // resumed campaign can rebuild the row — and therefore the CSV and the
 // REPORT tables — byte for byte. Doubles serialize as C99 hex-floats
-// ("%a", via store::hexf) and round-trip to the identical bit pattern;
+// (util::hexf) and round-trip to the identical bit pattern;
 // the analytic estimate embeds the store's versioned estimate codec.
 //
 // Fields the campaign recomputes serially after all rows exist

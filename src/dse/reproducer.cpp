@@ -1,163 +1,65 @@
 #include "dse/reproducer.hpp"
 
-#include <cctype>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "dse/case_runner.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::dse {
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += ch;
-    }
-  }
-  return out;
+using util::decimal17;
+using util::json_escape;
+using util::JsonObject;
+using util::JsonValue;
+
+/// Removes `key` from `fields` (the object named `where`) and returns its
+/// value; a ConfigError naming the field when it is absent or not a
+/// `kind`.
+JsonValue take(JsonObject& fields, const std::string& where,
+               const std::string& key, JsonValue::Kind kind) {
+  const auto it = fields.find(key);
+  require(it != fields.end(), where + " missing field: " + key);
+  require(it->second.kind == kind, where + " field " + key +
+                                       " has the wrong type");
+  JsonValue value = std::move(it->second);
+  fields.erase(it);
+  return value;
 }
 
-/// Minimal parser for the flat reproducer schema: one object of scalars
-/// plus one nested "config" object of numeric scalars. Not a general JSON
-/// parser — exactly what the fixture files need, with precise errors.
-class FlatJsonParser {
-public:
-  explicit FlatJsonParser(const std::string& text) : text_(text) {}
+std::uint64_t take_u64(JsonObject& fields, const std::string& where,
+                       const std::string& key,
+                       std::uint64_t max = UINT64_MAX) {
+  const std::string text =
+      take(fields, where, key, JsonValue::Kind::kNumber).text;
+  std::uint64_t value = 0;
+  require(util::parse_u64(text, value) && value <= max,
+          where + " field " + key + " must be an integer in [0, " +
+              std::to_string(max) + "], got " + text);
+  return value;
+}
 
-  /// Top-level scalars (strings kept verbatim, numbers as written).
-  std::map<std::string, std::string> scalars;
-  /// The nested config object's numeric fields.
-  std::map<std::string, std::string> config;
-
-  void parse() {
-    skip_ws();
-    expect('{');
-    parse_members(scalars, /*allow_nested_config=*/true);
-    skip_ws();
-    require(pos_ >= text_.size(), "trailing characters after reproducer");
-  }
-
-private:
-  void parse_members(std::map<std::string, std::string>& into,
-                     bool allow_nested_config) {
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      skip_ws();
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      if (peek() == '{') {
-        require(allow_nested_config && key == "config",
-                "unexpected nested object at key '" + key + "'");
-        ++pos_;
-        parse_members(config, /*allow_nested_config=*/false);
-      } else if (peek() == '"') {
-        into[key] = parse_string();
-      } else {
-        into[key] = parse_number();
-      }
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char ch = text_[pos_++];
-      if (ch == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': ch = '\n'; break;
-          case 't': ch = '\t'; break;
-          default: ch = esc;
-        }
-      }
-      out += ch;
-    }
-    expect('"');
-    return out;
-  }
-
-  std::string parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    require(pos_ > start, "expected a number at offset " +
-                              std::to_string(start));
-    return text_.substr(start, pos_ - start);
-  }
-
-  char peek() const {
-    require(pos_ < text_.size(), "unexpected end of reproducer JSON");
-    return text_[pos_];
-  }
-
-  void expect(char ch) {
-    require(pos_ < text_.size() && text_[pos_] == ch,
-            std::string{"expected '"} + ch + "' at offset " +
-                std::to_string(pos_) + " of reproducer JSON");
-    ++pos_;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-std::uint64_t take_u64(std::map<std::string, std::string>& fields,
+std::uint32_t take_u32(JsonObject& fields, const std::string& where,
                        const std::string& key) {
-  const auto it = fields.find(key);
-  require(it != fields.end(), "reproducer config missing field: " + key);
-  const std::uint64_t value = std::stoull(it->second);
-  fields.erase(it);
-  return value;
+  return static_cast<std::uint32_t>(take_u64(fields, where, key, UINT32_MAX));
 }
 
-double take_double(std::map<std::string, std::string>& fields,
+double take_double(JsonObject& fields, const std::string& where,
                    const std::string& key) {
-  const auto it = fields.find(key);
-  require(it != fields.end(), "reproducer config missing field: " + key);
-  const double value = std::stod(it->second);
-  fields.erase(it);
+  const std::string text =
+      take(fields, where, key, JsonValue::Kind::kNumber).text;
+  double value = 0.0;
+  require(util::parse_double(text, value),
+          where + " field " + key + " is not a number: " + text);
   return value;
 }
 
-std::string fmt_probability(double v) {
-  std::ostringstream out;
-  out.precision(17);
-  out << v;
-  return out.str();
+std::string take_string(JsonObject& fields, const std::string& where,
+                        const std::string& key) {
+  return take(fields, where, key, JsonValue::Kind::kString).text;
 }
 
 }  // namespace
@@ -175,15 +77,15 @@ std::string to_json(const Reproducer& r) {
   out << "    \"host_function_count\": " << r.config.host_function_count
       << ",\n";
   out << "    \"kernel_edge_probability\": "
-      << fmt_probability(r.config.kernel_edge_probability) << ",\n";
+      << decimal17(r.config.kernel_edge_probability) << ",\n";
   out << "    \"min_edge_bytes\": " << r.config.min_edge_bytes << ",\n";
   out << "    \"max_edge_bytes\": " << r.config.max_edge_bytes << ",\n";
   out << "    \"min_work_units\": " << r.config.min_work_units << ",\n";
   out << "    \"max_work_units\": " << r.config.max_work_units << ",\n";
   out << "    \"duplicable_probability\": "
-      << fmt_probability(r.config.duplicable_probability) << ",\n";
+      << decimal17(r.config.duplicable_probability) << ",\n";
   out << "    \"streaming_probability\": "
-      << fmt_probability(r.config.streaming_probability) << ",\n";
+      << decimal17(r.config.streaming_probability) << ",\n";
   // Board fields only appear for multi-board configs, so every
   // single-board reproducer (including the checked-in fixtures) keeps its
   // historical byte-exact shape.
@@ -199,57 +101,53 @@ std::string to_json(const Reproducer& r) {
 }
 
 Reproducer parse_reproducer(const std::string& json) {
-  FlatJsonParser parser{json};
-  parser.parse();
+  JsonObject top;
+  std::string error;
+  if (!util::parse_json_object(json, top, error)) {
+    throw ConfigError{"malformed reproducer JSON: " + error};
+  }
+  const std::string where = "reproducer";
 
   Reproducer r;
-  require(parser.scalars.count("schema") != 0,
-          "reproducer missing field: schema");
-  r.schema = static_cast<int>(std::stol(parser.scalars.at("schema")));
-  require(r.schema == 1, "unsupported reproducer schema version: " +
-                             std::to_string(r.schema));
-  require(parser.scalars.count("oracle") != 0,
-          "reproducer missing field: oracle");
-  r.oracle = parser.scalars.at("oracle");
-  require(parser.scalars.count("expect") != 0,
-          "reproducer missing field: expect");
-  const std::string expect = parser.scalars.at("expect");
+  const std::uint32_t schema = take_u32(top, where, "schema");
+  require(schema == 1, "unsupported reproducer schema version: " +
+                           std::to_string(schema));
+  r.oracle = take_string(top, where, "oracle");
+  const std::string expect = take_string(top, where, "expect");
   require(expect == "pass" || expect == "fail",
           "reproducer expect must be \"pass\" or \"fail\", got \"" + expect +
               "\"");
   r.expect = expect == "fail" ? Expectation::kFail : Expectation::kPass;
-  if (parser.scalars.count("message") != 0) {
-    r.message = parser.scalars.at("message");
+  if (top.count("message") != 0) {
+    r.message = take_string(top, where, "message");
   }
 
-  std::map<std::string, std::string> config = parser.config;
-  r.config.kernel_count =
-      static_cast<std::uint32_t>(take_u64(config, "kernel_count"));
-  r.config.host_function_count =
-      static_cast<std::uint32_t>(take_u64(config, "host_function_count"));
+  JsonObject config = *take(top, where, "config", JsonValue::Kind::kObject)
+                           .members;
+  const std::string in = "reproducer config";
+  r.config.kernel_count = take_u32(config, in, "kernel_count");
+  r.config.host_function_count = take_u32(config, in, "host_function_count");
   r.config.kernel_edge_probability =
-      take_double(config, "kernel_edge_probability");
-  r.config.min_edge_bytes = take_u64(config, "min_edge_bytes");
-  r.config.max_edge_bytes = take_u64(config, "max_edge_bytes");
-  r.config.min_work_units = take_u64(config, "min_work_units");
-  r.config.max_work_units = take_u64(config, "max_work_units");
+      take_double(config, in, "kernel_edge_probability");
+  r.config.min_edge_bytes = take_u64(config, in, "min_edge_bytes");
+  r.config.max_edge_bytes = take_u64(config, in, "max_edge_bytes");
+  r.config.min_work_units = take_u64(config, in, "min_work_units");
+  r.config.max_work_units = take_u64(config, in, "max_work_units");
   r.config.duplicable_probability =
-      take_double(config, "duplicable_probability");
+      take_double(config, in, "duplicable_probability");
   r.config.streaming_probability =
-      take_double(config, "streaming_probability");
+      take_double(config, in, "streaming_probability");
   // Optional multi-board fields (absent in single-board reproducers).
   if (config.count("board_count") != 0) {
-    r.config.board_count =
-        static_cast<std::uint32_t>(take_u64(config, "board_count"));
+    r.config.board_count = take_u32(config, in, "board_count");
   }
   if (config.count("board_topology") != 0) {
-    r.config.board_topology = config.at("board_topology");
-    config.erase("board_topology");
+    r.config.board_topology = take_string(config, in, "board_topology");
   }
-  r.config.seed = take_u64(config, "seed");
+  r.config.seed = take_u64(config, in, "seed");
   if (!config.empty()) {
-    require(false,
-            "reproducer config has unknown field: " + config.begin()->first);
+    throw ConfigError{"reproducer config has unknown field: " +
+                      config.begin()->first};
   }
   return r;
 }

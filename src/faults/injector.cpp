@@ -1,19 +1,8 @@
 #include "faults/injector.hpp"
 
+#include "util/hash.hpp"
+
 namespace hybridic::faults {
-
-namespace {
-
-// One splitmix64-style finalizer round; a pure function so site streams do
-// not depend on the order sites first draw.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* fault_kind_name(FaultKind kind) {
   switch (kind) {
@@ -42,8 +31,11 @@ Rng& FaultInjector::stream(SiteKind kind, std::uint64_t site) {
       std::make_pair(static_cast<std::uint8_t>(kind), site);
   auto it = streams_.find(key);
   if (it == streams_.end()) {
+    // A pure function of (seed, kind, site), so site streams do not depend
+    // on the order sites first draw.
+    const std::uint64_t kind_bits = static_cast<std::uint64_t>(kind) << 56;
     const std::uint64_t seed =
-        mix(mix(spec_.seed ^ (static_cast<std::uint64_t>(kind) << 56)) + site);
+        util::splitmix64(util::splitmix64(spec_.seed ^ kind_bits) + site);
     it = streams_.emplace(key, Rng{seed}).first;
   }
   return it->second;

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "store/codec.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::store {
 
@@ -60,16 +61,13 @@ std::string estimate_scope(const sys::PlatformConfig& platform,
        << ";rpipe=" << platform.noc.router.pipeline_cycles
        << ";bram=" << platform.bram_capacity.count()
        << ";bramw=" << platform.bram_port_width_bytes
-       << ";ostream=" << hexf(platform.stream_overhead_seconds)
-       << ";odup=" << hexf(platform.duplication_overhead_seconds)
-       << ";bband=" << hexf(calibration.baseline_band)
-       << ";dband=" << hexf(calibration.designed_band);
+       << ";ostream=" << util::hexf(platform.stream_overhead_seconds)
+       << ";odup=" << util::hexf(platform.duplication_overhead_seconds)
+       << ";bband=" << util::hexf(calibration.baseline_band)
+       << ";dband=" << util::hexf(calibration.designed_band);
   // Hash down to a short stable token — the full text stays debuggable in
   // this function, the key stays short on disk.
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a64(text.str())));
-  return std::string{buf};
+  return util::hex16(fnv1a64(text.str()));
 }
 
 std::string estimate_scope(const sys::MultiBoardConfig& config,
@@ -80,17 +78,14 @@ std::string estimate_scope(const sys::MultiBoardConfig& config,
   std::ostringstream text;
   text << "mb;boards=" << config.board_count()
        << ";topo=" << core::to_string(config.topology)
-       << ";lat=" << hexf(config.link.latency_seconds)
-       << ";bw=" << hexf(config.link.bandwidth_bytes_per_second)
+       << ";lat=" << util::hexf(config.link.latency_seconds)
+       << ";bw=" << util::hexf(config.link.bandwidth_bytes_per_second)
        << ";pseed=" << config.partition_seed
-       << ";iband=" << hexf(calibration.inter_board_band);
+       << ";iband=" << util::hexf(calibration.inter_board_band);
   for (const sys::PlatformConfig& board : config.boards) {
     text << ";b=" << estimate_scope(board, calibration);
   }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a64(text.str())));
-  return std::string{buf};
+  return util::hex16(fnv1a64(text.str()));
 }
 
 EstimateStoreL2::EstimateStoreL2(std::shared_ptr<Store> backing,
@@ -99,11 +94,8 @@ EstimateStoreL2::EstimateStoreL2(std::shared_ptr<Store> backing,
 
 std::string EstimateStoreL2::store_key(const std::string& scope,
                                        std::uint64_t key) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(key));
   return "estimate/rev=" + std::to_string(kEngineRevision) +
-         "/scope=" + scope + "/sig=" + std::string{buf};
+         "/scope=" + scope + "/sig=" + util::hex16(key);
 }
 
 std::optional<tiers::TierEstimate> EstimateStoreL2::load(std::uint64_t key) {

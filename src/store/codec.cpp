@@ -1,133 +1,19 @@
 #include "store/codec.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
+
+#include "util/text.hpp"
 
 namespace hybridic::store {
 
-namespace {
+using util::hexf;
+using util::parse_bool;
+using util::parse_double;
+using util::parse_u64;
+using util::split_fields;
 
 constexpr const char* kProfileMagic = "profile 1";
 constexpr const char* kEstimateMagic = "estimate 2";
-
-/// Sequential line/token reader over a payload. Every take_* returns
-/// false on any shape violation; callers bail out to "malformed".
-class Reader {
-public:
-  explicit Reader(const std::string& text) : text_(text) {}
-
-  bool take_line(std::string& line) {
-    const std::size_t nl = text_.find('\n', pos_);
-    if (nl == std::string::npos) {
-      return false;
-    }
-    line.assign(text_, pos_, nl - pos_);
-    pos_ = nl + 1;
-    return true;
-  }
-
-  /// A line "<tag> <rest>"; fails unless the tag matches.
-  bool take_tagged(const std::string& tag, std::string& rest) {
-    std::string line;
-    if (!take_line(line) || line.rfind(tag + " ", 0) != 0) {
-      return false;
-    }
-    rest = line.substr(tag.size() + 1);
-    return true;
-  }
-
-  bool take_exact(const std::string& expected) {
-    std::string line;
-    return take_line(line) && line == expected;
-  }
-
-  /// "<tag> <len>" line followed by exactly len raw bytes and a newline.
-  bool take_sized(const std::string& tag, std::string& value) {
-    std::string rest;
-    std::uint64_t len = 0;
-    if (!take_tagged(tag, rest) || !parse_u64(rest, len)) {
-      return false;
-    }
-    if (pos_ + len + 1 > text_.size() || text_[pos_ + len] != '\n') {
-      return false;
-    }
-    value.assign(text_, pos_, len);
-    pos_ += len + 1;
-    return true;
-  }
-
-  [[nodiscard]] bool at_end() const { return pos_ == text_.size(); }
-
-  static bool parse_u64(const std::string& text, std::uint64_t& value) {
-    if (text.empty()) {
-      return false;
-    }
-    value = 0;
-    for (const char c : text) {
-      if (c < '0' || c > '9') {
-        return false;
-      }
-      if (value > (UINT64_MAX - static_cast<std::uint64_t>(c - '0')) / 10) {
-        return false;
-      }
-      value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return true;
-  }
-
-  static bool parse_double(const std::string& text, double& value) {
-    if (text.empty()) {
-      return false;
-    }
-    char* end = nullptr;
-    value = std::strtod(text.c_str(), &end);
-    return end != nullptr && *end == '\0';
-  }
-
-private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-/// Split a space-separated line into fields (no empty fields allowed).
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const std::size_t sp = line.find(' ', pos);
-    const std::size_t end = sp == std::string::npos ? line.size() : sp;
-    if (end == pos) {
-      return {};  // Empty field — malformed.
-    }
-    fields.push_back(line.substr(pos, end - pos));
-    pos = end + (sp == std::string::npos ? 0 : 1);
-    if (sp != std::string::npos && pos == line.size()) {
-      return {};  // Trailing space.
-    }
-  }
-  return fields;
-}
-
-bool parse_bool(const std::string& text, bool& value) {
-  if (text == "0") {
-    value = false;
-    return true;
-  }
-  if (text == "1") {
-    value = true;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-std::string hexf(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", value);
-  return std::string{buf};
-}
 
 std::string encode_profile(const apps::ProfiledApp& app) {
   const prof::ProfileSnapshot snap = app.profiler->snapshot();
@@ -172,7 +58,7 @@ std::string encode_profile(const apps::ProfiledApp& app) {
 
 std::shared_ptr<const apps::ProfiledApp> decode_profile(
     const std::string& payload) {
-  Reader reader{payload};
+  util::LineReader reader{payload};
   if (!reader.take_exact(kProfileMagic)) {
     return nullptr;
   }
@@ -196,16 +82,11 @@ std::shared_ptr<const apps::ProfiledApp> decode_profile(
   {
     const auto fields = split_fields(rest);
     if (fields.size() != 5 ||
-        !Reader::parse_u64(fields[0],
-                           app.environment.base_infrastructure.luts) ||
-        !Reader::parse_u64(fields[1],
-                           app.environment.base_infrastructure.regs) ||
-        !Reader::parse_double(fields[2],
-                              app.environment.power.static_watts) ||
-        !Reader::parse_double(fields[3],
-                              app.environment.power.watts_per_kilo_lut) ||
-        !Reader::parse_double(fields[4],
-                              app.environment.power.watts_per_kilo_reg)) {
+        !parse_u64(fields[0], app.environment.base_infrastructure.luts) ||
+        !parse_u64(fields[1], app.environment.base_infrastructure.regs) ||
+        !parse_double(fields[2], app.environment.power.static_watts) ||
+        !parse_double(fields[3], app.environment.power.watts_per_kilo_lut) ||
+        !parse_double(fields[4], app.environment.power.watts_per_kilo_reg)) {
       return nullptr;
     }
   }
@@ -213,7 +94,7 @@ std::shared_ptr<const apps::ProfiledApp> decode_profile(
   prof::ProfileSnapshot snap;
   std::uint64_t count = 0;
   if (!reader.take_tagged("functions", rest) ||
-      !Reader::parse_u64(rest, count) || count > 1'000'000) {
+      !parse_u64(rest, count) || count > 1'000'000) {
     return nullptr;
   }
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -222,18 +103,18 @@ std::shared_ptr<const apps::ProfiledApp> decode_profile(
       return nullptr;
     }
     const auto fields = split_fields(rest);
-    if (fields.size() != 6 || !Reader::parse_u64(fields[0], fn.work_units) ||
-        !Reader::parse_u64(fields[1], fn.reads) ||
-        !Reader::parse_u64(fields[2], fn.writes) ||
-        !Reader::parse_u64(fields[3], fn.calls) ||
-        !Reader::parse_u64(fields[4], fn.unique_bytes_read) ||
-        !Reader::parse_u64(fields[5], fn.unique_bytes_written)) {
+    if (fields.size() != 6 || !parse_u64(fields[0], fn.work_units) ||
+        !parse_u64(fields[1], fn.reads) ||
+        !parse_u64(fields[2], fn.writes) ||
+        !parse_u64(fields[3], fn.calls) ||
+        !parse_u64(fields[4], fn.unique_bytes_read) ||
+        !parse_u64(fields[5], fn.unique_bytes_written)) {
       return nullptr;
     }
     snap.functions.push_back(std::move(fn));
   }
   if (!reader.take_tagged("edges", rest) ||
-      !Reader::parse_u64(rest, count) || count > 100'000'000) {
+      !parse_u64(rest, count) || count > 100'000'000) {
     return nullptr;
   }
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -244,10 +125,10 @@ std::shared_ptr<const apps::ProfiledApp> decode_profile(
       return nullptr;
     }
     const auto fields = split_fields(rest);
-    if (fields.size() != 4 || !Reader::parse_u64(fields[0], producer) ||
-        !Reader::parse_u64(fields[1], consumer) ||
-        !Reader::parse_u64(fields[2], edge.bytes) ||
-        !Reader::parse_u64(fields[3], edge.unique_addresses) ||
+    if (fields.size() != 4 || !parse_u64(fields[0], producer) ||
+        !parse_u64(fields[1], consumer) ||
+        !parse_u64(fields[2], edge.bytes) ||
+        !parse_u64(fields[3], edge.unique_addresses) ||
         producer >= snap.functions.size() ||
         consumer >= snap.functions.size()) {
       return nullptr;
@@ -257,19 +138,19 @@ std::shared_ptr<const apps::ProfiledApp> decode_profile(
     snap.edges.push_back(edge);
   }
   if (!reader.take_tagged("order", rest) ||
-      !Reader::parse_u64(rest, count) || count > snap.functions.size()) {
+      !parse_u64(rest, count) || count > snap.functions.size()) {
     return nullptr;
   }
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t id = 0;
-    if (!reader.take_tagged("o", rest) || !Reader::parse_u64(rest, id) ||
+    if (!reader.take_tagged("o", rest) || !parse_u64(rest, id) ||
         id >= snap.functions.size()) {
       return nullptr;
     }
     snap.call_order.push_back(static_cast<prof::FunctionId>(id));
   }
   if (!reader.take_tagged("calibration", rest) ||
-      !Reader::parse_u64(rest, count) || count > 1'000'000) {
+      !parse_u64(rest, count) || count > 1'000'000) {
     return nullptr;
   }
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -282,10 +163,10 @@ std::shared_ptr<const apps::ProfiledApp> decode_profile(
     std::uint64_t luts = 0;
     std::uint64_t regs = 0;
     if (fields.size() != 7 ||
-        !Reader::parse_double(fields[0], cal.host_cycles_per_work_unit) ||
-        !Reader::parse_double(fields[1], cal.kernel_cycles_per_work_unit) ||
-        !Reader::parse_u64(fields[2], luts) ||
-        !Reader::parse_u64(fields[3], regs) ||
+        !parse_double(fields[0], cal.host_cycles_per_work_unit) ||
+        !parse_double(fields[1], cal.kernel_cycles_per_work_unit) ||
+        !parse_u64(fields[2], luts) ||
+        !parse_u64(fields[3], regs) ||
         !parse_bool(fields[4], cal.is_kernel) ||
         !parse_bool(fields[5], cal.duplicable) ||
         !parse_bool(fields[6], cal.streaming) || luts > UINT32_MAX ||
@@ -330,7 +211,7 @@ std::string encode_estimate(const tiers::TierEstimate& e) {
 
 std::optional<tiers::TierEstimate> decode_estimate(
     const std::string& payload) {
-  Reader reader{payload};
+  util::LineReader reader{payload};
   if (!reader.take_exact(kEstimateMagic)) {
     return std::nullopt;
   }
@@ -338,11 +219,11 @@ std::optional<tiers::TierEstimate> decode_estimate(
   std::string rest;
   if (!reader.take_sized("tag", e.solution_tag) ||
       !reader.take_tagged("theta", rest) ||
-      !Reader::parse_double(rest, e.theta_seconds_per_byte) ||
+      !parse_double(rest, e.theta_seconds_per_byte) ||
       !reader.take_tagged("baseline", rest) ||
-      !Reader::parse_double(rest, e.baseline_kernel_seconds) ||
+      !parse_double(rest, e.baseline_kernel_seconds) ||
       !reader.take_tagged("designed", rest) ||
-      !Reader::parse_double(rest, e.designed_kernel_seconds)) {
+      !parse_double(rest, e.designed_kernel_seconds)) {
     return std::nullopt;
   }
   if (!reader.take_tagged("band", rest)) {
@@ -351,10 +232,10 @@ std::optional<tiers::TierEstimate> decode_estimate(
   {
     const auto fields = split_fields(rest);
     if (fields.size() != 4 ||
-        !Reader::parse_double(fields[0], e.designed_lower_seconds) ||
-        !Reader::parse_double(fields[1], e.designed_upper_seconds) ||
-        !Reader::parse_double(fields[2], e.baseline_lower_seconds) ||
-        !Reader::parse_double(fields[3], e.baseline_upper_seconds)) {
+        !parse_double(fields[0], e.designed_lower_seconds) ||
+        !parse_double(fields[1], e.designed_upper_seconds) ||
+        !parse_double(fields[2], e.baseline_lower_seconds) ||
+        !parse_double(fields[3], e.baseline_upper_seconds)) {
       return std::nullopt;
     }
   }
@@ -364,15 +245,15 @@ std::optional<tiers::TierEstimate> decode_estimate(
   {
     const auto fields = split_fields(rest);
     if (fields.size() != 4 ||
-        !Reader::parse_u64(fields[0], e.noc_edges) ||
-        !Reader::parse_u64(fields[1], e.noc_volume_bytes) ||
-        !Reader::parse_u64(fields[2], e.noc_hop_bytes) ||
-        !Reader::parse_u64(fields[3], e.noc_max_link_bytes)) {
+        !parse_u64(fields[0], e.noc_edges) ||
+        !parse_u64(fields[1], e.noc_volume_bytes) ||
+        !parse_u64(fields[2], e.noc_hop_bytes) ||
+        !parse_u64(fields[3], e.noc_max_link_bytes)) {
       return std::nullopt;
     }
   }
   if (!reader.take_tagged("noct", rest) ||
-      !Reader::parse_double(rest, e.noc_transfer_seconds)) {
+      !parse_double(rest, e.noc_transfer_seconds)) {
     return std::nullopt;
   }
   if (!reader.take_tagged("iboard", rest)) {
@@ -381,16 +262,16 @@ std::optional<tiers::TierEstimate> decode_estimate(
   {
     const auto fields = split_fields(rest);
     if (fields.size() != 3 ||
-        !Reader::parse_u64(fields[0], e.inter_board_edges) ||
-        !Reader::parse_u64(fields[1], e.inter_board_bytes) ||
-        !Reader::parse_u64(fields[2], e.inter_board_hop_bytes)) {
+        !parse_u64(fields[0], e.inter_board_edges) ||
+        !parse_u64(fields[1], e.inter_board_bytes) ||
+        !parse_u64(fields[2], e.inter_board_hop_bytes)) {
       return std::nullopt;
     }
   }
   if (!reader.take_tagged("iboardt", rest) ||
-      !Reader::parse_double(rest, e.inter_board_seconds) ||
+      !parse_double(rest, e.inter_board_seconds) ||
       !reader.take_tagged("ckey", rest) ||
-      !Reader::parse_u64(rest, e.congruence_key) || !reader.at_end()) {
+      !parse_u64(rest, e.congruence_key) || !reader.at_end()) {
     return std::nullopt;
   }
   return e;

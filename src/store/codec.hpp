@@ -1,8 +1,8 @@
 // Versioned text codecs for store payloads (docs/MODEL.md §15).
 //
 // Profiles and tier estimates round-trip bit-exactly: every double is
-// serialized as a C99 hex-float ("%a"), which strtod parses back to the
-// identical bit pattern, and every counter as a decimal integer. Encoding
+// serialized as a C99 hex-float (util::hexf), which strtod parses back to
+// the identical bit pattern, and every counter as a decimal integer. Encoding
 // the decode of an entry reproduces the original payload byte for byte —
 // the property the restart-reproducibility tests assert.
 //
@@ -34,8 +34,5 @@ namespace hybridic::store {
 /// nullopt when the payload is malformed.
 [[nodiscard]] std::optional<tiers::TierEstimate> decode_estimate(
     const std::string& payload);
-
-/// Bit-exact double formatting ("%a" hex-float) shared by the codecs.
-[[nodiscard]] std::string hexf(double value);
 
 }  // namespace hybridic::store

@@ -3,10 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include "util/text.hpp"
 
 namespace hybridic::store {
 
@@ -19,32 +20,6 @@ namespace {
 // where sum = fnv1a64(fingerprint + '\0' + key + '\0' + raw payload)
 // and the payload escapes '\\' -> "\\\\", '\n' -> "\\n", '\r' -> "\\r".
 constexpr const char* kMagic = "J1";
-
-std::string hex64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string{buf};
-}
-
-bool parse_hex64(const std::string& text, std::uint64_t& value) {
-  if (text.size() != 16) {
-    return false;
-  }
-  value = 0;
-  for (const char c : text) {
-    std::uint64_t digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<std::uint64_t>(c - 'a') + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | digit;
-  }
-  return true;
-}
 
 std::string escape_payload(const std::string& raw) {
   std::string out;
@@ -156,7 +131,7 @@ void Journal::append(const std::string& fingerprint, const std::string& key,
   line += ' ';
   line += fingerprint;
   line += ' ';
-  line += hex64(record_sum(fingerprint, key, payload));
+  line += util::hex16(record_sum(fingerprint, key, payload));
   line += ' ';
   line += key;
   line += ' ';
@@ -208,7 +183,7 @@ Journal::ReadResult Journal::read(const std::string& path) {
     entry.key = line.substr(sp3 + 1, sp4 - sp3 - 1);
     std::uint64_t sum = 0;
     if (entry.fingerprint.empty() || entry.key.empty() ||
-        !parse_hex64(sum_text, sum) ||
+        !util::parse_hex16(sum_text, sum) ||
         !unescape_payload(line.substr(sp4 + 1), entry.payload)) {
       ++result.skipped_lines;
       continue;

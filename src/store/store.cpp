@@ -3,73 +3,17 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include "util/text.hpp"
 
 namespace hybridic::store {
 
 namespace fs = std::filesystem;
 
-namespace {
-
 constexpr const char* kMagic = "hybridic-store 1";
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::string hex64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string{buf};
-}
-
-/// Read one '\n'-terminated line starting at `pos`; false when no newline
-/// remains. `pos` advances past the newline.
-bool take_line(const std::string& blob, std::size_t& pos,
-               std::string& line) {
-  const std::size_t nl = blob.find('\n', pos);
-  if (nl == std::string::npos) {
-    return false;
-  }
-  line.assign(blob, pos, nl - pos);
-  pos = nl + 1;
-  return true;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& value) {
-  if (text.empty()) {
-    return false;
-  }
-  value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    if (value > (UINT64_MAX - static_cast<std::uint64_t>(c - '0')) / 10) {
-      return false;
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return true;
-}
-
-}  // namespace
-
-std::uint64_t fnv1a64(const std::string& data, std::uint64_t basis) {
-  std::uint64_t hash = basis;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 Store::Store(std::string root) : root_(std::move(root)) {
   std::error_code ec;
@@ -86,10 +30,10 @@ Store::Store(std::string root) : root_(std::move(root)) {
 std::string Store::object_name(const std::string& key) {
   // Two independent FNV passes finalized with splitmix64 give a 128-bit
   // address; the embedded-key check on read makes even a collision safe.
-  const std::uint64_t h1 = splitmix64(fnv1a64(key));
+  const std::uint64_t h1 = util::splitmix64(fnv1a64(key));
   const std::uint64_t h2 =
-      splitmix64(fnv1a64(key, 0x84222325cbf29ce4ULL));
-  return hex64(h1) + hex64(h2);
+      util::splitmix64(fnv1a64(key, 0x84222325cbf29ce4ULL));
+  return util::hex16(h1) + util::hex16(h2);
 }
 
 std::string Store::object_path(const std::string& key) const {
@@ -113,7 +57,7 @@ void Store::put(const std::string& key, const std::string& payload) {
        << key << '\n'
        << "len " << payload.size() << '\n'
        << payload << '\n'
-       << "sum " << hex64(fnv1a64(payload)) << '\n';
+       << "sum " << util::hex16(fnv1a64(payload)) << '\n';
   const std::string bytes = blob.str();
 
   const std::string name = object_name(key);
@@ -187,14 +131,11 @@ std::optional<std::string> Store::get(const std::string& key) const {
     return std::nullopt;
   };
 
-  std::size_t pos = 0;
-  std::string line;
-  if (!take_line(blob, pos, line) || line != kMagic) {
-    return damaged();
-  }
+  util::LineReader reader{blob};
+  std::string rest;
   std::uint64_t rev = 0;
-  if (!take_line(blob, pos, line) || line.rfind("rev ", 0) != 0 ||
-      !parse_u64(line.substr(4), rev)) {
+  if (!reader.take_exact(kMagic) || !reader.take_tagged("rev", rest) ||
+      !util::parse_u64(rest, rev)) {
     return damaged();
   }
   if (rev != kEngineRevision) {
@@ -202,29 +143,14 @@ std::optional<std::string> Store::get(const std::string& key) const {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  std::uint64_t key_len = 0;
-  if (!take_line(blob, pos, line) || line.rfind("key ", 0) != 0 ||
-      !parse_u64(line.substr(4), key_len)) {
-    return damaged();
-  }
-  if (pos + key_len + 1 > blob.size() ||
-      blob.compare(pos, key_len, key) != 0 || blob[pos + key_len] != '\n') {
+  std::string stored_key;
+  std::string payload;
+  if (!reader.take_sized("key", stored_key) || stored_key != key) {
     return damaged();  // Truncated, or a different key hashed here.
   }
-  pos += key_len + 1;
-  std::uint64_t payload_len = 0;
-  if (!take_line(blob, pos, line) || line.rfind("len ", 0) != 0 ||
-      !parse_u64(line.substr(4), payload_len)) {
-    return damaged();
-  }
-  if (pos + payload_len + 1 > blob.size() ||
-      blob[pos + payload_len] != '\n') {
-    return damaged();
-  }
-  std::string payload = blob.substr(pos, payload_len);
-  pos += payload_len + 1;
-  if (!take_line(blob, pos, line) || line.rfind("sum ", 0) != 0 ||
-      line.substr(4) != hex64(fnv1a64(payload)) || pos != blob.size()) {
+  if (!reader.take_sized("len", payload) ||
+      !reader.take_tagged("sum", rest) ||
+      rest != util::hex16(fnv1a64(payload)) || !reader.at_end()) {
     return damaged();
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
@@ -250,7 +176,7 @@ std::vector<std::pair<std::string, std::string>> Store::read_index() const {
       continue;
     }
     std::uint64_t key_len = 0;
-    if (!parse_u64(line.substr(sp1 + 1, sp2 - sp1 - 1), key_len)) {
+    if (!util::parse_u64(line.substr(sp1 + 1, sp2 - sp1 - 1), key_len)) {
       continue;
     }
     if (line.size() - sp2 - 1 != key_len) {

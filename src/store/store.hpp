@@ -33,6 +33,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/hash.hpp"
+
 namespace hybridic::store {
 
 /// Bump whenever profiling, the analytic tier, or a codec changes in a
@@ -53,9 +55,7 @@ struct StoreStats {
   std::uint64_t corrupt_entries = 0;  ///< Present but failed validation.
 };
 
-/// FNV-1a 64-bit over `data`, starting from `basis`.
-[[nodiscard]] std::uint64_t fnv1a64(
-    const std::string& data, std::uint64_t basis = 0xcbf29ce484222325ULL);
+using util::fnv1a64;
 
 class Store {
 public:

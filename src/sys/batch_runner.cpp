@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace hybridic::sys {
 
@@ -48,16 +49,9 @@ JobStatus probe_supervised(const std::function<void()>& fn,
 }
 
 std::uint64_t job_seed(std::string_view key) {
-  // FNV-1a 64.
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (const char c : key) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ULL;
-  }
-  // splitmix64 finalizer: decorrelates keys differing in few bits.
-  hash = (hash ^ (hash >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  hash = (hash ^ (hash >> 27)) * 0x94D049BB133111EBULL;
-  return hash ^ (hash >> 31);
+  // The splitmix64 output mix without its increment decorrelates keys
+  // differing in few bits.
+  return util::mix64(util::fnv1a64(key));
 }
 
 void BatchRunner::run_erased(

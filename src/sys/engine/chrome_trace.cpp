@@ -4,40 +4,10 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace hybridic::sys::engine {
 namespace {
-
-// Minimal JSON string escaping (labels are ASCII step/op names, but stay
-// safe for anything that ends up in one).
-std::string escaped(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Chrome-trace timestamps are microseconds; print with sub-ns resolution
 // so picosecond-scale events stay distinct.
@@ -64,7 +34,7 @@ void write_chrome_trace(const ExecTrace& trace,
   emit_comma();
   out << "    {\"ph\": \"M\", \"pid\": 0, \"tid\": 0, \"name\": "
          "\"process_name\", \"args\": {\"name\": \""
-      << escaped(system_name) << "\"}}";
+      << util::json_escape(system_name) << "\"}}";
   for (std::size_t f = 0; f < kFabricCount; ++f) {
     // The inter-board track only exists on multi-board runs; single-board
     // traces stay byte-identical to what they were before that fabric
@@ -89,7 +59,7 @@ void write_chrome_trace(const ExecTrace& trace,
     out << "    {\"ph\": \"" << (instant ? 'i' : 'X')
         << "\", \"pid\": 0, \"tid\": "
         << static_cast<unsigned>(event.fabric) << ", \"name\": \""
-        << escaped(event.label) << "\", \"cat\": \""
+        << util::json_escape(event.label) << "\", \"cat\": \""
         << event_kind_name(event.kind) << "\", \"ts\": "
         << micros(event.start_seconds);
     if (instant) {

@@ -1,7 +1,6 @@
 #include "tiers/congruence.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <numeric>
 #include <set>
@@ -10,16 +9,13 @@
 #include <vector>
 
 #include "core/kernel_model.hpp"
+#include "util/hash.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::tiers {
 namespace {
 
-/// Exact, locale-free rendering of a double (hex float).
-std::string hexf(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
-}
+using util::hexf;
 
 /// The order-free part of one instance's record: everything about it
 /// except references to other instances.
@@ -160,16 +156,8 @@ std::string congruence_signature(const sys::AppSchedule& schedule,
 }
 
 std::uint64_t congruence_key_of(const std::string& signature) {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a 64.
-  for (const char ch : signature) {
-    hash ^= static_cast<unsigned char>(ch);
-    hash *= 0x100000001B3ULL;
-  }
-  // splitmix64 finalizer spreads the FNV bits.
-  hash += 0x9E3779B97F4A7C15ULL;
-  hash = (hash ^ (hash >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  hash = (hash ^ (hash >> 27)) * 0x94D049BB133111EBULL;
-  return hash ^ (hash >> 31);
+  // splitmix64 spreads the FNV bits.
+  return util::splitmix64(util::fnv1a64(signature));
 }
 
 TierEstimate CongruenceCache::get(

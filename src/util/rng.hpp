@@ -8,15 +8,17 @@
 #include <cstdint>
 #include <limits>
 
+#include "util/hash.hpp"
+
 namespace hybridic {
 
 /// xoshiro256** — small, fast, high-quality PRNG with splitmix64 seeding.
 class Rng {
 public:
   explicit Rng(std::uint64_t seed) {
-    std::uint64_t x = seed;
     for (auto& word : state_) {
-      word = splitmix64(x);
+      word = util::splitmix64(seed);
+      seed += util::kGoldenGamma;
     }
   }
 
@@ -60,14 +62,6 @@ public:
 private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
-  }
-
-  static std::uint64_t splitmix64(std::uint64_t& x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
   }
 
   std::uint64_t state_[4] = {};

@@ -285,10 +285,10 @@ TEST(Supervised, OkJobsSettleWithValueAndOneAttempt) {
   const auto slots =
       runner.run_supervised(std::move(jobs), sys::SuperviseOptions{});
   ASSERT_EQ(slots.size(), 4U);
-  for (int i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(slots[i].status, sys::JobStatus::kOk);
     ASSERT_TRUE(slots[i].value.has_value());
-    EXPECT_EQ(*slots[i].value, i * 10);
+    EXPECT_EQ(*slots[i].value, static_cast<int>(i) * 10);
     EXPECT_EQ(slots[i].attempts, 1U);
     EXPECT_EQ(runner.last_report().jobs[i].status, sys::JobStatus::kOk);
   }
@@ -423,7 +423,7 @@ TEST(Supervised, OnSettledFiresOncePerJobBeforeBatchEnd) {
         settled[i] = r.status;
       });
   ASSERT_EQ(settled.size(), 6U);
-  for (int i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(settled[i], i == 3 ? sys::JobStatus::kCrashed
                                  : sys::JobStatus::kOk);
   }

@@ -171,6 +171,37 @@ TEST(DseReproducer, ParserNamesTheProblem) {
   EXPECT_THROW((void)parse_reproducer(json2), ConfigError);
 }
 
+TEST(DseReproducer, HostileNumbersAndKeysNameTheField) {
+  Reproducer r;
+  r.oracle = "determinism";
+  const std::string json = to_json(r);
+  // `json` with the value of the first `key` replaced by `value`.
+  const auto with_value = [&json](const std::string& key,
+                                  const std::string& value) {
+    std::string out = json;
+    const std::string needle = "\"" + key + "\": ";
+    const std::size_t at = out.find(needle) + needle.size();
+    return out.replace(at, out.find_first_of(",\n", at) - at, value);
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {with_value("kernel_count", "-1"), "kernel_count"},
+      {with_value("kernel_count", "4294967296"), "kernel_count"},
+      {with_value("seed", "1e3"), "seed"},
+      {with_value("seed", "-"), "seed"},
+      {with_value("kernel_count", "1, \"kernel_count\": 2"), "kernel_count"},
+      {with_value("oracle", "7"), "oracle"},
+  };
+  for (const auto& [text, field] : cases) {
+    try {
+      (void)parse_reproducer(text);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(DseReproducer, ShrunkMutationFailureReplaysToTheSameFailure) {
   apps::SyntheticConfig start;
   start.seed = 7;

@@ -2,9 +2,10 @@
 """Round-trip smoke for the hybridic_serve JSON-lines front end.
 
 Starts the server, walks one request through every branch of the error
-taxonomy — served, usage, config, timeout (quarantined) — checks the
-stats counters, checks determinism (the same request twice yields the
-same bytes), and verifies the orderly EOF shutdown (exit 0).
+taxonomy — served, usage, config, timeout (quarantined) — sends hostile
+lines that must each be a usage error, checks the stats counters, checks
+determinism (the same request twice yields the same bytes), and verifies
+the orderly EOF shutdown (exit 0).
 
 Usage: python3 tools/serve_smoke.py /path/to/hybridic_serve
 """
@@ -35,17 +36,28 @@ def main():
         {"id": "bad-config", "kernels": 0},
         {"id": "wedged", "kernels": 8, "tier": "cycle",
          "timeout_s": 0.0001},
-        {"id": "stats", "op": "stats"},
     ]
-    stdin = "".join(json.dumps(r) + "\n" for r in requests)
+    # Raw lines the JSON dialect or the request decoder must reject with
+    # usage/2 (json.dumps cannot spell most of them).
+    hostile = [
+        '{"id": "negative", "seed": -1}',
+        '{"id": "duplicate", "seed": 1, "seed": 2}',
+        '{"id": "overflow", "edge_p": 1e999}',
+        '{"id": "nested", "seed": {"x": 1}}',
+        '{"id": "escape", "board_topology": "\\q"}',
+        '{"id": "junk", "seed": 1} junk',
+    ]
+    lines_in = ([json.dumps(r) for r in requests] + hostile +
+                [json.dumps({"id": "stats", "op": "stats"})])
+    stdin = "".join(line + "\n" for line in lines_in)
     proc = subprocess.run([binary], input=stdin, capture_output=True,
                           text=True, timeout=600)
     check(proc.returncode == 0,
           "serve exit {} != 0 on EOF: {}".format(proc.returncode,
                                                  proc.stderr))
     lines = proc.stdout.splitlines()
-    check(len(lines) == len(requests),
-          "expected {} responses, got {}".format(len(requests), len(lines)))
+    check(len(lines) == len(lines_in),
+          "expected {} responses, got {}".format(len(lines_in), len(lines)))
     replies = [json.loads(line) for line in lines]
 
     ok = replies[0]
@@ -80,11 +92,19 @@ def main():
     check("watchdog" in wedged["message"],
           "timeout message does not name the watchdog: " + lines[4])
 
-    stats = replies[5]
-    check(stats["ok"] is True and stats["requests"] == 6
-          and stats["served"] == 3 and stats["failed"] == 2
+    first_hostile = len(requests)
+    for offset, line in enumerate(hostile):
+        reply = replies[first_hostile + offset]
+        check(reply["ok"] is False and reply["error"] == "usage"
+              and reply["exit_code"] == 2,
+              "hostile line not a usage error: " + line + " -> "
+              + lines[first_hostile + offset])
+
+    stats = replies[-1]
+    check(stats["ok"] is True and stats["requests"] == 12
+          and stats["served"] == 3 and stats["failed"] == 8
           and stats["quarantined"] == 1,
-          "counter mismatch: " + lines[5])
+          "counter mismatch: " + lines[-1])
 
     check("eof shutdown" in proc.stderr,
           "missing shutdown summary on stderr: " + proc.stderr)
