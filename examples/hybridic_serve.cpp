@@ -37,6 +37,7 @@
 // in-flight request, prints its counters to stderr and exits 0.
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -408,5 +409,13 @@ int main(int argc, char** argv) {
             << " shutdown; requests=" << counters.requests
             << " served=" << counters.served << " failed=" << counters.failed
             << " quarantined=" << counters.quarantined << "\n";
+  if (counters.quarantined > 0) {
+    // An abandoned attempt may still be running on its detached thread,
+    // using `evaluator` and `cache`: returning would destroy them (and then
+    // the statics) under it. End the process without unwinding instead;
+    // every reply is already flushed.
+    std::cout.flush();
+    std::_Exit(0);
+  }
   return 0;
 }

@@ -51,8 +51,10 @@ BoardPartition partition_boards(const BoardPartitionInput& input) {
   std::map<prof::FunctionId, std::size_t> kernel_index;
   for (std::size_t k = 0; k < n; ++k) {
     const KernelSpec& spec = input.kernels[k];
-    require(spec.function < graph.function_count(),
-            "kernel spec '" + spec.name + "' names an unprofiled function");
+    if (spec.function >= graph.function_count()) {
+      throw ConfigError{"kernel spec '" + spec.name +
+                        "' names an unprofiled function"};
+    }
     kernel_index[spec.function] = k;
   }
   require(kernel_index.size() == n, "duplicate kernel functions in L_hw");

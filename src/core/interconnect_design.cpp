@@ -28,9 +28,11 @@ SpecIndex index_specs(const DesignInput& input) {
   SpecIndex index;
   for (std::size_t s = 0; s < input.kernels.size(); ++s) {
     index.hw_set.insert(input.kernels[s].function);
-    require(
-        index.spec_of_function.emplace(input.kernels[s].function, s).second,
-        "two kernel specs share one function: " + input.kernels[s].name);
+    if (!index.spec_of_function.emplace(input.kernels[s].function, s)
+             .second) {
+      throw ConfigError{"two kernel specs share one function: " +
+                        input.kernels[s].name};
+    }
   }
   return index;
 }

@@ -53,19 +53,48 @@ std::uint64_t cost_of(const TrafficMatrix& traffic, const noc::Mesh2D& mesh,
   return cost;
 }
 
-/// One pass of best-improvement pairwise swaps; returns true if improved.
+/// cost_of(node_of with a and b swapped), given cost = cost_of(node_of), in
+/// O(n): only pairs touching a or b change, and (a, b) keeps its distance.
+/// Unsigned arithmetic is exact modulo 2^64, so the result equals the full
+/// recomputation bit for bit.
+std::uint64_t swapped_cost(const TrafficMatrix& traffic,
+                           const noc::Mesh2D& mesh,
+                           const std::vector<std::uint32_t>& node_of,
+                           std::uint64_t cost, std::uint32_t a,
+                           std::uint32_t b) {
+  std::uint64_t removed = 0;
+  std::uint64_t added = 0;
+  for (std::uint32_t c = 0; c < traffic.size(); ++c) {
+    if (c == a || c == b) {
+      continue;
+    }
+    const std::uint64_t with_a = traffic.at(a, c);
+    const std::uint64_t with_b = traffic.at(b, c);
+    if (with_a > 0) {
+      removed += with_a * mesh.distance(node_of[a], node_of[c]);
+      added += with_a * mesh.distance(node_of[b], node_of[c]);
+    }
+    if (with_b > 0) {
+      removed += with_b * mesh.distance(node_of[b], node_of[c]);
+      added += with_b * mesh.distance(node_of[a], node_of[c]);
+    }
+  }
+  return cost - removed + added;
+}
+
+/// One pass of first-improvement pairwise swaps; returns true if improved.
 bool improve_once(const TrafficMatrix& traffic, const noc::Mesh2D& mesh,
                   std::vector<std::uint32_t>& node_of, std::uint64_t& cost) {
   const std::uint32_t n = traffic.size();
   for (std::uint32_t a = 0; a < n; ++a) {
     for (std::uint32_t b = a + 1; b < n; ++b) {
-      std::swap(node_of[a], node_of[b]);
-      const std::uint64_t candidate = cost_of(traffic, mesh, node_of);
+      const std::uint64_t candidate =
+          swapped_cost(traffic, mesh, node_of, cost, a, b);
       if (candidate < cost) {
+        std::swap(node_of[a], node_of[b]);
         cost = candidate;
         return true;
       }
-      std::swap(node_of[a], node_of[b]);
     }
   }
   return false;
@@ -160,19 +189,18 @@ PlacementResult place_attachments_annealed(const PlacementProblem& problem,
     if (a == b) {
       b = (b + 1) % problem.attachment_count;
     }
-    std::swap(current[a], current[b]);
-    const std::uint64_t candidate = cost_of(traffic, best.mesh, current);
+    const std::uint64_t candidate =
+        swapped_cost(traffic, best.mesh, current, current_cost, a, b);
     const double delta = static_cast<double>(candidate) -
                          static_cast<double>(current_cost);
     if (delta <= 0.0 ||
         rng.uniform() < std::exp(-delta / std::max(temperature, 1e-9))) {
+      std::swap(current[a], current[b]);
       current_cost = candidate;
       if (current_cost < best.cost) {
         best.cost = current_cost;
         best.node_of = current;
       }
-    } else {
-      std::swap(current[a], current[b]);
     }
     temperature *= 0.9995;
   }

@@ -50,9 +50,10 @@ class Mesh2D {
 public:
   Mesh2D(std::uint32_t width, std::uint32_t height)
       : width_(width), height_(height) {
-    require(width > 0 && height > 0,
-            "mesh dimensions must be non-zero, got " + std::to_string(width) +
-                "x" + std::to_string(height));
+    if (width == 0 || height == 0) {
+      throw ConfigError{"mesh dimensions must be non-zero, got " +
+                        std::to_string(width) + "x" + std::to_string(height)};
+    }
   }
 
   [[nodiscard]] std::uint32_t width() const { return width_; }

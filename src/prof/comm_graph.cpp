@@ -8,8 +8,9 @@
 namespace hybridic::prof {
 
 FunctionId CommGraph::add_function(std::string name) {
-  require(by_name_.find(name) == by_name_.end(),
-          "duplicate function name in CommGraph: " + name);
+  if (by_name_.find(name) != by_name_.end()) {
+    throw ConfigError{"duplicate function name in CommGraph: " + name};
+  }
   const auto id = static_cast<FunctionId>(functions_.size());
   by_name_.emplace(name, id);
   functions_.push_back(FunctionProfile{std::move(name), 0, 0, 0, 0});
@@ -18,7 +19,9 @@ FunctionId CommGraph::add_function(std::string name) {
 
 FunctionId CommGraph::id_of(const std::string& name) const {
   const auto it = by_name_.find(name);
-  require(it != by_name_.end(), "unknown function in CommGraph: " + name);
+  if (it == by_name_.end()) {
+    throw ConfigError{"unknown function in CommGraph: " + name};
+  }
   return it->second;
 }
 

@@ -333,8 +333,9 @@ std::unique_ptr<QuadProfiler> QuadProfiler::from_snapshot(
 
 std::uint64_t QuadProfiler::approx_memory_bytes() const {
   std::uint64_t total = sizeof(QuadProfiler);
-  total += shadow_.page_count() *
-           (ShadowMemory::kPageBytes * sizeof(FunctionId) + 64);
+  total += shadow_.page_count() * 64 +
+           shadow_.split_page_count() * ShadowMemory::kPageBytes *
+               sizeof(FunctionId);
   total += trace_.capacity() * sizeof(TraceEvent);
   constexpr std::uint64_t kBitmapPageBytes = PagedByteSet::kPageBytes / 8 + 64;
   for (const PagedByteSet& set : write_footprint_) {

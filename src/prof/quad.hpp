@@ -150,8 +150,9 @@ public:
   /// True when this profiler was rebuilt via from_snapshot().
   [[nodiscard]] bool restored() const { return restored_; }
 
-  /// Rough resident footprint in bytes (shadow pages, footprint bitmaps,
-  /// UMA bitmaps, buffered trace) — the L1 cache's eviction accounting.
+  /// Rough resident footprint in bytes (shadow pages, with cell storage
+  /// charged only for split ones; footprint bitmaps, UMA bitmaps, buffered
+  /// trace) — the L1 cache's eviction accounting.
   [[nodiscard]] std::uint64_t approx_memory_bytes() const;
 
 private:

@@ -5,23 +5,15 @@
 
 namespace hybridic::prof {
 
-ShadowMemory::Page& ShadowMemory::page_for(std::uint64_t addr) {
-  const std::uint64_t key = addr / kPageBytes;
+ShadowMemory::Page& ShadowMemory::page_for(std::uint64_t key) {
   if (cached_page_ != nullptr && key == cached_key_) {
     return *cached_page_;
   }
-  auto& slot = pages_[key];
-  if (slot == nullptr) {
-    slot = std::make_unique<Page>();
-    slot->fill(kNoWriter);
-  }
+  // Node-based map: the cached pointer survives rehashing.
+  Page& page = pages_[key];
   cached_key_ = key;
-  cached_page_ = slot.get();
-  return *slot;
-}
-
-const ShadowMemory::Page* ShadowMemory::page_of(std::uint64_t addr) const {
-  return lookup_page(addr / kPageBytes);
+  cached_page_ = &page;
+  return page;
 }
 
 void ShadowMemory::write(std::uint64_t addr, std::uint64_t size,
@@ -29,11 +21,27 @@ void ShadowMemory::write(std::uint64_t addr, std::uint64_t size,
   std::uint64_t pos = addr;
   const std::uint64_t end = addr + size;
   while (pos < end) {
-    Page& page = page_for(pos);
+    Page& page = page_for(pos / kPageBytes);
     const std::uint64_t offset = pos % kPageBytes;
     const std::uint64_t in_page = std::min(end - pos, kPageBytes - offset);
-    std::fill_n(page.begin() + static_cast<std::ptrdiff_t>(offset),
-                in_page, writer);
+    if (in_page == kPageBytes) {
+      // Whole-page write: one writer for every byte.
+      if (page.cells != nullptr) {
+        page.cells.reset();
+        --split_pages_;
+      }
+      page.uniform = writer;
+    } else if (page.cells != nullptr) {
+      std::fill_n(page.cells->begin() + static_cast<std::ptrdiff_t>(offset),
+                  in_page, writer);
+    } else if (page.uniform != writer) {
+      // Partial write by a new writer: split into per-byte cells.
+      page.cells = std::make_unique<Cells>();
+      page.cells->fill(page.uniform);
+      std::fill_n(page.cells->begin() + static_cast<std::ptrdiff_t>(offset),
+                  in_page, writer);
+      ++split_pages_;
+    }
     pos += in_page;
   }
 }
@@ -48,7 +56,9 @@ void ShadowMemory::absorb(ShadowMemory& other) {
       throw std::logic_error{"ShadowMemory::absorb: overlapping pages"};
     }
   }
+  split_pages_ += other.split_pages_;
   other.pages_.clear();
+  other.split_pages_ = 0;
   other.cached_key_ = UINT64_MAX;
   other.cached_page_ = nullptr;
   scans_.fetch_add(other.scans_.exchange(0, std::memory_order_relaxed),
@@ -56,11 +66,14 @@ void ShadowMemory::absorb(ShadowMemory& other) {
 }
 
 FunctionId ShadowMemory::last_writer(std::uint64_t addr) const {
-  const Page* page = page_of(addr);
+  const Page* page = lookup_page(addr / kPageBytes);
   if (page == nullptr) {
     return kNoWriter;
   }
-  return (*page)[addr % kPageBytes];
+  if (page->cells == nullptr) {
+    return page->uniform;
+  }
+  return (*page->cells)[addr % kPageBytes];
 }
 
 }  // namespace hybridic::prof

@@ -3,11 +3,15 @@
 // producer→consumer attribution: a read observes the last writer of each
 // byte it touches.
 //
-// Storage is paged (4 KiB of FunctionId cells per page) and all hot
+// Storage is paged (4 KiB of address space per page) and all hot
 // operations work a page at a time: one hash lookup per page instead of
-// one per byte, run detection directly over the raw cell array, and a
-// single-entry last-page cache that short-circuits the hash lookup for the
-// sequential access patterns the profiled applications generate.
+// one per byte, and a single-entry last-page cache that short-circuits the
+// hash lookup for the sequential access patterns the profiled applications
+// generate. A page records a single writer for all of its bytes until a
+// partial write by another function splits it into per-byte cells; a
+// whole-page write makes it uniform again. Bulk writes and scans therefore
+// cost O(pages) on uniform pages, and run detection works directly over
+// the raw cell array on split ones.
 #pragma once
 
 #include <algorithm>
@@ -56,24 +60,28 @@ public:
     std::uint64_t run_start = addr;
     FunctionId run_producer = kNoWriter;
     bool have_run = false;
+    // Continue the current run, or close it and open one at `start`.
+    const auto segment = [&](std::uint64_t start, FunctionId producer) {
+      if (!have_run) {
+        run_start = start;
+        run_producer = producer;
+        have_run = true;
+      } else if (producer != run_producer) {
+        callback(run_start, start - run_start, run_producer);
+        run_start = start;
+        run_producer = producer;
+      }
+    };
     std::uint64_t pos = addr;
     while (pos < end) {
       const std::uint64_t offset = pos % kPageBytes;
       const std::uint64_t chunk = std::min(end - pos, kPageBytes - offset);
       const Page* page = lookup_page(pos / kPageBytes);
-      if (page == nullptr) {
-        // Whole in-page span is untouched: one kNoWriter run segment.
-        if (!have_run) {
-          run_start = pos;
-          run_producer = kNoWriter;
-          have_run = true;
-        } else if (run_producer != kNoWriter) {
-          callback(run_start, pos - run_start, run_producer);
-          run_start = pos;
-          run_producer = kNoWriter;
-        }
+      if (page == nullptr || page->cells == nullptr) {
+        // Untouched or uniform page: the in-page span is one segment.
+        segment(pos, page == nullptr ? kNoWriter : page->uniform);
       } else {
-        const FunctionId* cells = page->data() + offset;
+        const FunctionId* cells = page->cells->data() + offset;
         std::uint64_t i = 0;
         while (i < chunk) {
           const FunctionId producer = cells[i];
@@ -81,15 +89,7 @@ public:
           while (j < chunk && cells[j] == producer) {
             ++j;
           }
-          if (!have_run) {
-            run_start = pos + i;
-            run_producer = producer;
-            have_run = true;
-          } else if (producer != run_producer) {
-            callback(run_start, pos + i - run_start, run_producer);
-            run_start = pos + i;
-            run_producer = producer;
-          }
+          segment(pos + i, producer);
           i = j;
         }
       }
@@ -98,7 +98,12 @@ public:
     callback(run_start, end - run_start, run_producer);
   }
 
+  /// Pages ever written (uniform and split).
   [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
+
+  /// Pages currently holding per-byte cells; the others cost no cell
+  /// storage.
+  [[nodiscard]] std::size_t split_page_count() const { return split_pages_; }
 
   /// Move every page of `other` into this shadow. The two page sets must be
   /// disjoint (the parallel-finalize shards partition pages by page index,
@@ -114,20 +119,27 @@ public:
   }
 
 private:
-  using Page = std::array<FunctionId, kPageBytes>;
+  using Cells = std::array<FunctionId, kPageBytes>;
 
-  Page& page_for(std::uint64_t addr);
-  [[nodiscard]] const Page* page_of(std::uint64_t addr) const;
+  /// While `cells` is null every byte of the page was last written by
+  /// `uniform`; otherwise `cells` holds one writer per byte.
+  struct Page {
+    FunctionId uniform = kNoWriter;
+    std::unique_ptr<Cells> cells;
+  };
+
+  Page& page_for(std::uint64_t key);
 
   /// Plain hash lookup with no side effects — safe from const/concurrent
   /// readers. The write path (page_for) keeps the mutable one-entry cache,
   /// where repeated same-page writes make it pay.
   [[nodiscard]] const Page* lookup_page(std::uint64_t key) const {
     const auto it = pages_.find(key);
-    return it == pages_.end() ? nullptr : it->second.get();
+    return it == pages_.end() ? nullptr : &it->second;
   }
 
-  std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
+  std::unordered_map<std::uint64_t, Page> pages_;
+  std::size_t split_pages_ = 0;
   mutable std::atomic<std::uint64_t> scans_{0};
   std::uint64_t cached_key_ = UINT64_MAX;
   Page* cached_page_ = nullptr;

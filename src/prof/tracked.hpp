@@ -112,13 +112,21 @@ private:
   [[nodiscard]] std::uint64_t address(std::size_t index) const {
     return base_ + index * sizeof(T);
   }
+  // Per-element checks: the message naming the buffer is built only when
+  // the check fails.
   void bounds(std::size_t index) const {
-    require(index < data_.size(),
-            "TrackedBuffer '" + name_ + "' index out of range");
+    if (index >= data_.size()) {
+      throw_out_of_bounds("index out of range");
+    }
   }
   void bounds_range(std::size_t first, std::size_t count) const {
-    require(first + count <= data_.size(),
-            "TrackedBuffer '" + name_ + "' range out of bounds");
+    // Never forms first + count, which could wrap past SIZE_MAX.
+    if (count > data_.size() || first > data_.size() - count) {
+      throw_out_of_bounds("range out of bounds");
+    }
+  }
+  [[noreturn]] void throw_out_of_bounds(const char* what) const {
+    throw ConfigError{"TrackedBuffer '" + name_ + "' " + what};
   }
 
   QuadProfiler* profiler_;

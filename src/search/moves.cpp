@@ -17,8 +17,10 @@ std::map<prof::FunctionId, std::size_t> spec_index(
     const core::DesignInput& input) {
   std::map<prof::FunctionId, std::size_t> index;
   for (std::size_t s = 0; s < input.kernels.size(); ++s) {
-    require(index.emplace(input.kernels[s].function, s).second,
-            "two kernel specs share one function: " + input.kernels[s].name);
+    if (!index.emplace(input.kernels[s].function, s).second) {
+      throw ConfigError{"two kernel specs share one function: " +
+                        input.kernels[s].name};
+    }
   }
   return index;
 }

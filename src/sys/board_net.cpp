@@ -99,11 +99,13 @@ BoardNetwork::BoardNetwork(std::uint32_t board_count,
         dead.a < board_count && dead.b < board_count &&
         std::find(pristine_[dead.a].begin(), pristine_[dead.a].end(),
                   dead.b) != pristine_[dead.a].end();
-    require(exists, "dead board link " + std::to_string(dead.a) + "-" +
+    if (!exists) {
+      throw ConfigError{"dead board link " + std::to_string(dead.a) + "-" +
                         std::to_string(dead.b) + " is not a " +
                         std::string(core::to_string(topology)) +
                         " topology link for " + std::to_string(board_count) +
-                        " boards");
+                        " boards"};
+    }
   }
 
   // The surviving network must stay connected: a dead chain link (or any
@@ -122,17 +124,20 @@ BoardNetwork::BoardNetwork(std::uint32_t board_count,
     }
   }
   for (std::uint32_t b = 0; b < board_count; ++b) {
-    require(reachable[b],
-            "dead inter-board links disconnect board " + std::to_string(b) +
-                " (" + std::string(core::to_string(topology)) +
-                " topology has no detour)");
+    if (!reachable[b]) {
+      throw ConfigError{"dead inter-board links disconnect board " +
+                        std::to_string(b) + " (" +
+                        std::string(core::to_string(topology)) +
+                        " topology has no detour)"};
+    }
   }
 }
 
 const std::vector<std::uint32_t>& BoardNetwork::neighbors(
     std::uint32_t board) const {
-  require(board < board_count_,
-          "board " + std::to_string(board) + " out of range");
+  if (board >= board_count_) {
+    throw ConfigError{"board " + std::to_string(board) + " out of range"};
+  }
   return live_[board];
 }
 

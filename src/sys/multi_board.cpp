@@ -45,9 +45,10 @@ std::vector<AppSchedule> board_schedules(
       ScheduleStep local = step;
       if (step.is_kernel) {
         const auto it = local_spec.find(step.function);
-        require(it != local_spec.end(),
-                "kernel step '" + step.name + "' has no spec on board " +
-                    std::to_string(b));
+        if (it == local_spec.end()) {
+          throw ConfigError{"kernel step '" + step.name +
+                            "' has no spec on board " + std::to_string(b)};
+        }
         local.spec_index = it->second;
       }
       sub.steps.push_back(std::move(local));

@@ -39,8 +39,10 @@ AppSchedule build_schedule(std::string app_name,
 
   std::map<std::string, const CalibrationEntry*> by_name;
   for (const CalibrationEntry& entry : calibration) {
-    require(graph.has_function(entry.function),
-            "calibration references unprofiled function: " + entry.function);
+    if (!graph.has_function(entry.function)) {
+      throw ConfigError{"calibration references unprofiled function: " +
+                        entry.function};
+    }
     by_name[entry.function] = &entry;
   }
 

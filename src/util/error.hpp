@@ -54,7 +54,23 @@ private:
   bool watchdog_expired_ = false;
 };
 
+// Checks on per-call paths pass a string literal, which costs nothing while
+// the check passes; binding it to a `std::string` would build (and past
+// libstdc++'s 15-character inline buffer, heap-allocate) the message on
+// every call. A message that needs context is concatenated only on the
+// throwing path:
+//   if (!ok) { throw ConfigError{"... " + name}; }
+// require's `std::string` overload is for cold paths (file and reproducer
+// I/O) whose messages are built before the check.
+
 /// Throw a ConfigError unless `condition` holds.
+inline void require(bool condition, const char* message) {
+  if (!condition) {
+    throw ConfigError{message};
+  }
+}
+
+/// Throw a ConfigError unless `condition` holds (message built by caller).
 inline void require(bool condition, const std::string& message) {
   if (!condition) {
     throw ConfigError{message};
@@ -62,7 +78,7 @@ inline void require(bool condition, const std::string& message) {
 }
 
 /// Throw a SimulationError unless `condition` holds.
-inline void sim_assert(bool condition, const std::string& message) {
+inline void sim_assert(bool condition, const char* message) {
   if (!condition) {
     throw SimulationError{message};
   }

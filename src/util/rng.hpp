@@ -32,15 +32,16 @@ public:
 
   std::uint64_t next() {
     const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
+    step(state_);
     return result;
   }
+
+  /// Advance exactly as `n` calls to next() would, in O(log n): the state
+  /// transition is linear over GF(2), so the generator applies one
+  /// precomputed power M^(2^k) of its 256x256 step matrix per set bit k of
+  /// n. The 64 powers (512 KiB) are built on the first call in the process
+  /// (thread-safe) and shared read-only afterwards.
+  void discard(std::uint64_t n);
 
   /// Uniform integer in [0, bound) with Lemire rejection (unbiased enough
   /// for workload generation; bound must be non-zero).
@@ -62,6 +63,17 @@ public:
 private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
+  }
+
+  /// The state transition of next(), without its output.
+  static void step(std::uint64_t* s) {
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
   }
 
   std::uint64_t state_[4] = {};

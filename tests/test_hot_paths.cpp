@@ -1,0 +1,152 @@
+// Allocation-free hot paths (docs/MODEL.md §10), tested by counting every
+// global operator new this binary makes. The replacement operators below
+// are why this suite is a binary of its own.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "prof/tracked.hpp"
+#include "sim/clock.hpp"
+#include "sim/engine.hpp"
+#include "util/error.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size, std::size_t alignment) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size == 0) {
+    size = 1;
+  }
+  void* block = alignment <= alignof(std::max_align_t)
+                    ? std::malloc(size)
+                    : std::aligned_alloc(
+                          alignment, (size + alignment - 1) / alignment *
+                                         alignment);
+  if (block == nullptr) {
+    throw std::bad_alloc{};
+  }
+  return block;
+}
+
+}  // namespace
+
+// The array and nothrow forms forward to these by default.
+void* operator new(std::size_t size) {
+  return counted_alloc(size, alignof(std::max_align_t));
+}
+void* operator new(std::size_t size, std::align_val_t alignment) {
+  return counted_alloc(size, static_cast<std::size_t>(alignment));
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+void operator delete(void* block, std::align_val_t) noexcept {
+  std::free(block);
+}
+void operator delete(void* block, std::size_t, std::align_val_t) noexcept {
+  std::free(block);
+}
+
+namespace hybridic {
+namespace {
+
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+TEST(HotPaths, PassingChecksDoNotAllocate) {
+  // Opaque to the optimiser, so every check is really evaluated.
+  volatile bool holds = true;
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 5000; ++i) {
+    require(holds, "a passing check whose message is past the inline buffer");
+    sim_assert(holds, "a passing assertion with a long literal message");
+  }
+  EXPECT_EQ(allocations() - before, 0U);
+}
+
+TEST(HotPaths, TrackedAccessesDoNotAllocateOnExistingPages) {
+  prof::QuadProfiler q{prof::ProfileMode::kEager};
+  const prof::FunctionId producer = q.declare("producer");
+  const prof::FunctionId consumer = q.declare("consumer");
+  prof::TrackedBuffer<std::uint32_t> buffer{q, "buffer_with_a_long_name",
+                                            3000};
+  // Warm-up: every shadow page, footprint and UMA bitmap, the edge and the
+  // scope stack exist afterwards.
+  {
+    prof::ScopedFunction scope{q, producer};
+    for (std::size_t i = 0; i < buffer.size(); ++i) {
+      buffer.set(i, static_cast<std::uint32_t>(i));
+    }
+  }
+  {
+    prof::ScopedFunction scope{q, consumer};
+    for (std::size_t i = 0; i < buffer.size(); ++i) {
+      (void)buffer.get(i);
+    }
+  }
+
+  std::uint64_t sum = 0;
+  const std::uint64_t before = allocations();
+  {
+    prof::ScopedFunction scope{q, producer};
+    for (std::size_t i = 0; i < 5000; ++i) {
+      buffer.set(i * 7 % buffer.size(), static_cast<std::uint32_t>(i));
+    }
+  }
+  {
+    prof::ScopedFunction scope{q, consumer};
+    for (std::size_t i = 0; i < 5000; ++i) {
+      sum += buffer.get(i * 11 % buffer.size());
+    }
+  }
+  EXPECT_EQ(allocations() - before, 0U);
+  EXPECT_GT(sum, 0U);
+  EXPECT_EQ(q.graph().bytes_between(producer, consumer).count(),
+            (3000U + 5000U) * sizeof(std::uint32_t));
+}
+
+/// A clocked component that stays active for a fixed number of edges.
+class Countdown : public sim::Ticking {
+public:
+  explicit Countdown(int ticks) : left_(ticks) {}
+  bool tick(Picoseconds /*now*/) override { return --left_ > 0; }
+  void rearm(int ticks) { left_ = ticks; }
+
+private:
+  int left_;
+};
+
+TEST(HotPaths, EngineScheduleRunLoopDoesNotAllocateAfterWarmUp) {
+  sim::Engine engine;
+  const sim::ClockDomain clock{"fabric_clock", Frequency::megahertz(100)};
+  Countdown component{100};
+  const std::size_t handle = engine.add_ticking(component, clock);
+  std::uint64_t fired = 0;
+  const auto round = [&] {
+    component.rearm(100);
+    engine.activate(handle);
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      engine.schedule_after(Picoseconds{i % 17 * 1000},
+                            [&fired] { ++fired; });
+      engine.schedule_at(engine.now() + Picoseconds{i % 5 * 3000},
+                         [&fired] { ++fired; });
+    }
+    engine.run();
+  };
+  round();  // Warm-up: the event heap and tick wheel reach their capacity.
+
+  const std::uint64_t before = allocations();
+  for (int r = 0; r < 5; ++r) {
+    round();
+  }
+  EXPECT_EQ(allocations() - before, 0U);
+  EXPECT_EQ(fired, 6U * 2000U);
+}
+
+}  // namespace
+}  // namespace hybridic

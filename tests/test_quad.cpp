@@ -251,6 +251,72 @@ TEST(QuadDeferred, ShardedReplayIsThreadCountInvariant) {
   }
 }
 
+/// Whole-page writes (which leave shadow pages uniform) interleaved with
+/// page-straddling reads and partial overwrites (which split them), with
+/// no two consecutive events coalescing: well over the serial-replay
+/// threshold, so a pool replays it sharded and each shard's uniform pages
+/// are absorbed into the merged shadow.
+void run_page_workload(QuadProfiler& q) {
+  constexpr std::uint64_t kPage = ShadowMemory::kPageBytes;
+  const FunctionId a = q.declare("a");
+  const FunctionId b = q.declare("b");
+  const FunctionId c = q.declare("c");
+  const std::uint64_t buf = q.allocate(65 * kPage, kPage);
+  for (std::uint64_t i = 0; i < 2048; ++i) {
+    const std::uint64_t page = buf + i * 7 % 64 * kPage;
+    q.enter(i % 3 == 0 ? a : b);
+    q.record_write(page, kPage);
+    q.leave();
+    q.enter(c);
+    q.record_read(page + i % 5 * 100, kPage);
+    q.leave();
+    if (i % 4 == 1) {
+      q.enter(a);
+      q.record_write(page + i % 61 * 64, 40);
+      q.leave();
+    }
+  }
+}
+
+TEST(QuadDeferred, ShardedReplayOfUniformPagesMatchesEager) {
+  QuadProfiler eager{ProfileMode::kEager};
+  run_page_workload(eager);
+  ThreadPool pool{4};
+  QuadProfiler deferred{ProfileMode::kDeferred};
+  run_page_workload(deferred);
+  ASSERT_GE(deferred.pending_events(), 4096U);
+  deferred.finalize(&pool);
+  expect_same_profile(eager, deferred);
+  const ShadowMemory& x = eager.shadow();
+  const ShadowMemory& y = deferred.shadow();
+  EXPECT_EQ(x.page_count(), y.page_count());
+  EXPECT_EQ(x.split_page_count(), y.split_page_count());
+  EXPECT_LT(x.split_page_count(), x.page_count());
+  EXPECT_EQ(eager.approx_memory_bytes(), deferred.approx_memory_bytes());
+  for (std::uint64_t addr = 0x1000; addr < 0x1000 + 66 * 4096; ++addr) {
+    ASSERT_EQ(x.last_writer(addr), y.last_writer(addr)) << addr;
+  }
+}
+
+TEST(QuadProfiler, MemoryChargesShadowCellsOnlyForSplitPages) {
+  constexpr std::uint64_t kPage = ShadowMemory::kPageBytes;
+  constexpr std::uint64_t kCellBytes = kPage * sizeof(FunctionId);
+  QuadProfiler q;
+  const FunctionId f = q.declare("f");
+  const FunctionId g = q.declare("g");
+  const std::uint64_t buf = q.allocate(16 * kPage, kPage);
+  q.enter(f);
+  q.record_write(buf, 16 * kPage);  // Sixteen uniform pages.
+  q.leave();
+  const std::uint64_t uniform_bytes = q.approx_memory_bytes();
+  EXPECT_LT(uniform_bytes, 16 * kCellBytes);
+  q.enter(g);
+  q.record_write(buf + 8, 8);  // Splits one page.
+  q.leave();
+  EXPECT_EQ(q.shadow().split_page_count(), 1U);
+  EXPECT_GE(q.approx_memory_bytes() - uniform_bytes, kCellBytes);
+}
+
 TEST(QuadDeferred, FinalizeIsIdempotentAndAllowsFurtherEagerUse) {
   QuadProfiler q{ProfileMode::kDeferred};
   const FunctionId p = q.declare("p");

@@ -2,10 +2,93 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <latch>
 #include <set>
+#include <thread>
+#include <vector>
 
 namespace hybridic {
 namespace {
+
+/// The state after `n` next() calls from `rng`, observed as the next eight
+/// outputs.
+std::array<std::uint64_t, 8> after_steps(Rng rng, std::uint64_t n) {
+  for (std::uint64_t i = 0; i < n; ++i) {
+    rng.next();
+  }
+  std::array<std::uint64_t, 8> out{};
+  for (std::uint64_t& value : out) {
+    value = rng.next();
+  }
+  return out;
+}
+
+std::array<std::uint64_t, 8> after_discard(Rng rng, std::uint64_t n) {
+  rng.discard(n);
+  std::array<std::uint64_t, 8> out{};
+  for (std::uint64_t& value : out) {
+    value = rng.next();
+  }
+  return out;
+}
+
+// First in the file, so that run as one process it makes the process's
+// first discard(): four threads race to build the shared matrix powers.
+TEST(RngDiscard, ConcurrentFirstCallsAgree) {
+  constexpr std::uint64_t kSteps = 1000003;
+  const auto expected = after_steps(Rng{99}, kSteps);
+  std::array<std::array<std::uint64_t, 8>, 4> seen{};
+  std::latch start{4};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&seen, &start, t] {
+      start.arrive_and_wait();
+      seen[t] = after_discard(Rng{99}, kSteps);
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const auto& outputs : seen) {
+    EXPECT_EQ(outputs, expected);
+  }
+}
+
+TEST(RngDiscard, EqualsRepeatedNext) {
+  for (const std::uint64_t seed : {1ULL, 42ULL, 0xDEADBEEFULL}) {
+    for (const std::uint64_t n :
+         {0ULL, 1ULL, 63ULL, 64ULL, 65ULL, 4095ULL, 4096ULL, 131089ULL,
+          1000003ULL}) {
+      EXPECT_EQ(after_discard(Rng{seed}, n), after_steps(Rng{seed}, n))
+          << "seed " << seed << " n " << n;
+    }
+  }
+}
+
+TEST(RngDiscard, RandomCountsMidStream) {
+  Rng picker{7};
+  for (int trial = 0; trial < 24; ++trial) {
+    Rng rng{picker.next()};
+    for (std::uint64_t i = picker.below(100); i > 0; --i) {
+      rng.next();  // Start mid-stream.
+    }
+    const std::uint64_t n = picker.below(300000);
+    EXPECT_EQ(after_discard(rng, n), after_steps(rng, n)) << "n " << n;
+  }
+}
+
+TEST(RngDiscard, ComposesAdditively) {
+  // Exercises the high powers without stepping 2^k times: discard(a) then
+  // discard(b) must equal discard(a + b).
+  Rng split{5};
+  split.discard(0x8000000000000001ULL);
+  split.discard(0x3FFFFFFFFFFFFFFFULL);
+  Rng whole{5};
+  whole.discard(0xC000000000000000ULL);
+  EXPECT_EQ(after_steps(split, 0), after_steps(whole, 0));
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a{123};

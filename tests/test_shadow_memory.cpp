@@ -2,10 +2,117 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace hybridic::prof {
 namespace {
+
+constexpr std::uint64_t kPage = ShadowMemory::kPageBytes;
+
+using Run = std::tuple<std::uint64_t, std::uint64_t, FunctionId>;
+
+std::vector<Run> scan_runs(const ShadowMemory& shadow, std::uint64_t addr,
+                           std::uint64_t size) {
+  std::vector<Run> runs;
+  shadow.scan(addr, size,
+              [&runs](std::uint64_t start, std::uint64_t length,
+                      FunctionId producer) {
+                runs.emplace_back(start, length, producer);
+              });
+  return runs;
+}
+
+/// Byte-array model of a shadow: one last writer per byte of
+/// [base, base + size), kNoWriter elsewhere.
+struct ReferenceShadow {
+  std::uint64_t base;
+  std::vector<FunctionId> cells;
+
+  void write(std::uint64_t addr, std::uint64_t size, FunctionId writer) {
+    std::fill_n(cells.begin() + static_cast<std::ptrdiff_t>(addr - base),
+                size, writer);
+  }
+  [[nodiscard]] FunctionId at(std::uint64_t addr) const {
+    return addr < base || addr >= base + cells.size() ? kNoWriter
+                                                       : cells[addr - base];
+  }
+  /// The maximal-run sequence of a byte-by-byte walk.
+  [[nodiscard]] std::vector<Run> runs(std::uint64_t addr,
+                                      std::uint64_t size) const {
+    std::vector<Run> out;
+    for (std::uint64_t a = addr; a < addr + size; ++a) {
+      if (out.empty() || std::get<2>(out.back()) != at(a)) {
+        out.emplace_back(a, 1, at(a));
+      } else {
+        ++std::get<1>(out.back());
+      }
+    }
+    return out;
+  }
+};
+
+void expect_matches(const ShadowMemory& shadow, const ReferenceShadow& ref,
+                    Rng& rng) {
+  // Every byte, one page of margin either side.
+  const std::uint64_t lo = ref.base - kPage;
+  const std::uint64_t hi = ref.base + ref.cells.size() + kPage;
+  for (std::uint64_t a = lo; a < hi; ++a) {
+    ASSERT_EQ(shadow.last_writer(a), ref.at(a)) << "byte " << a;
+  }
+  EXPECT_EQ(scan_runs(shadow, lo, hi - lo), ref.runs(lo, hi - lo));
+  for (int i = 0; i < 16; ++i) {
+    const std::uint64_t start = lo + rng.below(hi - lo);
+    const std::uint64_t size = rng.between(1, hi - start);
+    EXPECT_EQ(scan_runs(shadow, start, size), ref.runs(start, size));
+  }
+  EXPECT_LE(shadow.split_page_count(), shadow.page_count());
+}
+
+/// One random write inside the reference window: whole pages, a partial
+/// in-page range, a page-straddling range, or a rewrite by the current
+/// writer of a byte (which must not split a uniform page).
+void random_write(ShadowMemory& shadow, ReferenceShadow& ref, Rng& rng) {
+  const std::uint64_t pages = ref.cells.size() / kPage;
+  std::uint64_t addr = 0;
+  std::uint64_t size = 0;
+  auto writer = static_cast<FunctionId>(rng.below(4));
+  switch (rng.below(4)) {
+    case 0: {
+      const std::uint64_t first = rng.below(pages);
+      addr = ref.base + first * kPage;
+      size = rng.between(1, pages - first) * kPage;
+      break;
+    }
+    case 1: {
+      const std::uint64_t offset = rng.below(kPage);
+      addr = ref.base + rng.below(pages) * kPage + offset;
+      size = rng.between(1, kPage - offset);
+      break;
+    }
+    case 2: {
+      addr = ref.base + rng.below(pages - 1) * kPage +
+             rng.between(kPage / 2, kPage - 1);
+      size = rng.between(kPage / 2, 2 * kPage);
+      break;
+    }
+    default: {
+      addr = ref.base + rng.below(ref.cells.size());
+      writer = ref.at(addr);
+      if (writer == kNoWriter) {
+        writer = 0;
+      }
+      size = rng.between(1, kPage);
+      break;
+    }
+  }
+  size = std::min(size, ref.base + ref.cells.size() - addr);
+  shadow.write(addr, size, writer);
+  ref.write(addr, size, writer);
+}
 
 TEST(ShadowMemory, UntouchedIsNoWriter) {
   ShadowMemory shadow;
@@ -80,6 +187,76 @@ TEST(ShadowMemory, LargeSparseAddressesStayCheap) {
   shadow.write(1ULL << 40, 8, 2);
   EXPECT_EQ(shadow.page_count(), 2U);
   EXPECT_EQ(shadow.last_writer(1ULL << 40), 2U);
+}
+
+TEST(ShadowMemory, PagesSplitOnlyOnPartialWritesByAnotherWriter) {
+  ShadowMemory shadow;
+  shadow.write(kPage, 3 * kPage, 1);  // Three whole pages: uniform.
+  EXPECT_EQ(shadow.page_count(), 3U);
+  EXPECT_EQ(shadow.split_page_count(), 0U);
+  shadow.write(kPage + 100, 50, 1);  // Same writer, partial: no split.
+  EXPECT_EQ(shadow.split_page_count(), 0U);
+  shadow.write(2 * kPage + 100, 50, 2);  // Another writer: splits.
+  EXPECT_EQ(shadow.split_page_count(), 1U);
+  EXPECT_EQ(shadow.last_writer(2 * kPage + 99), 1U);
+  EXPECT_EQ(shadow.last_writer(2 * kPage + 100), 2U);
+  shadow.write(2 * kPage, kPage, 3);  // Whole page: uniform again.
+  EXPECT_EQ(shadow.split_page_count(), 0U);
+  EXPECT_EQ(shadow.last_writer(2 * kPage + 100), 3U);
+  shadow.write(5 * kPage + 8, 8, 4);  // Partial write to a fresh page.
+  EXPECT_EQ(shadow.page_count(), 4U);
+  EXPECT_EQ(shadow.split_page_count(), 1U);
+  EXPECT_EQ(shadow.last_writer(5 * kPage), kNoWriter);
+}
+
+TEST(ShadowMemory, MatchesByteArrayReference) {
+  for (const std::uint64_t seed : {1U, 2U, 3U, 4U}) {
+    Rng rng{seed};
+    ShadowMemory shadow;
+    ReferenceShadow ref{9 * kPage, std::vector<FunctionId>(6 * kPage,
+                                                           kNoWriter)};
+    for (int op = 1; op <= 300; ++op) {
+      random_write(shadow, ref, rng);
+      if (op % 60 == 0) {
+        expect_matches(shadow, ref, rng);
+      }
+    }
+  }
+}
+
+TEST(ShadowMemory, AbsorbKeepsUniformAndSplitPages) {
+  Rng rng{11};
+  ShadowMemory even;
+  ShadowMemory odd;
+  ReferenceShadow ref{4 * kPage, std::vector<FunctionId>(8 * kPage,
+                                                         kNoWriter)};
+  // Page-disjoint halves, as the sharded replay builds them: even pages
+  // whole-page written (uniform), odd pages with partial writes (split).
+  for (std::uint64_t page = 0; page < 8; ++page) {
+    const std::uint64_t addr = ref.base + page * kPage;
+    const auto writer = static_cast<FunctionId>(page % 3);
+    if (page % 2 == 0) {
+      even.write(addr, kPage, writer);
+      ref.write(addr, kPage, writer);
+    } else {
+      const std::uint64_t offset = rng.below(kPage / 2);
+      odd.write(addr + offset, kPage / 4, writer);
+      ref.write(addr + offset, kPage / 4, writer);
+    }
+  }
+  EXPECT_EQ(even.split_page_count(), 0U);
+  EXPECT_EQ(odd.split_page_count(), 4U);
+  even.absorb(odd);
+  EXPECT_EQ(odd.page_count(), 0U);
+  EXPECT_EQ(odd.split_page_count(), 0U);
+  EXPECT_EQ(even.page_count(), 8U);
+  EXPECT_EQ(even.split_page_count(), 4U);
+  expect_matches(even, ref, rng);
+  // The merged shadow keeps taking writes like one built in one piece.
+  for (int op = 0; op < 100; ++op) {
+    random_write(even, ref, rng);
+  }
+  expect_matches(even, ref, rng);
 }
 
 }  // namespace

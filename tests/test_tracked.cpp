@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 
 #include "util/error.hpp"
 
@@ -93,6 +94,10 @@ TEST_F(TrackedTest, OutOfBoundsThrows) {
   std::array<int, 4> tmp{};
   EXPECT_THROW(buffer.read_range(2, 3, tmp.data()), ConfigError);
   EXPECT_THROW(buffer.write_range(3, 2, tmp.data()), ConfigError);
+  // first + count wraps past SIZE_MAX to a small value.
+  EXPECT_THROW(buffer.read_range(1, SIZE_MAX, tmp.data()), ConfigError);
+  EXPECT_THROW(buffer.write_range(1, SIZE_MAX, tmp.data()), ConfigError);
+  EXPECT_THROW(buffer.read_range(SIZE_MAX, 2, tmp.data()), ConfigError);
 }
 
 TEST_F(TrackedTest, DistinctBuffersDoNotAlias) {
