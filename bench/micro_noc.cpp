@@ -2,6 +2,9 @@
 // and simulation throughput across mesh sizes, payloads and routings.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+
 #include "noc/network.hpp"
 #include "sim/engine.hpp"
 
@@ -47,7 +50,9 @@ void BM_NocAllToAll(benchmark::State& state) {
     noc::Network network{"noc", engine, kNocClock,
                          noc::Mesh2D{dim, dim}, noc::NetworkConfig{}};
     for (std::uint32_t n = 0; n < dim * dim; ++n) {
-      network.attach_adapter(n, "n" + std::to_string(n),
+      std::string name = "n";
+      name += std::to_string(n);
+      network.attach_adapter(n, std::move(name),
                              noc::AdapterKind::kAccelerator);
     }
     int delivered = 0;

@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -99,7 +100,9 @@ double noc_events_per_sec(std::uint64_t& events_out) {
     noc::Network network{"noc", engine, noc_clock, noc::Mesh2D{kDim, kDim},
                          noc::NetworkConfig{}};
     for (std::uint32_t n = 0; n < kDim * kDim; ++n) {
-      network.attach_adapter(n, "n" + std::to_string(n),
+      std::string name = "n";
+      name += std::to_string(n);
+      network.attach_adapter(n, std::move(name),
                              noc::AdapterKind::kAccelerator);
     }
     for (std::uint32_t src = 0; src < kDim * kDim; ++src) {

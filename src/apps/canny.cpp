@@ -292,7 +292,7 @@ ProfiledApp run_canny(const CannyConfig& cfg) {
       {"store_edges", 4.06, 0.0, 0, 0, false, false, false},
   };
   app.environment.base_infrastructure = core::Resources{2000, 2019};
-  q.finalize();
+  q.seal();
   return app;
 }
 

@@ -302,7 +302,7 @@ ProfiledApp run_fluid(const FluidConfig& cfg) {
       {"read_state", 11.7, 0.0, 0, 0, false, false, false},
   };
   app.environment.base_infrastructure = core::Resources{1097, 875};
-  q.finalize();
+  q.seal();
   return app;
 }
 

@@ -253,7 +253,7 @@ ProfiledApp run_jpeg(const JpegConfig& cfg) {
       {"write_output", 2.0, 0.0, 0, 0, false, false, false},
   };
   app.environment.base_infrastructure = core::Resources{2007, 2882};
-  q.finalize();
+  q.seal();
   return app;
 }
 

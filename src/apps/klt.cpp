@@ -306,7 +306,7 @@ ProfiledApp run_klt(const KltConfig& cfg) {
       {"report_tracks", 7.0, 0.0, 0, 0, false, false, false},
   };
   app.environment.base_infrastructure = core::Resources{223, 1232};
-  q.finalize();
+  q.seal();
   return app;
 }
 

@@ -53,19 +53,20 @@ std::shared_ptr<const ProfiledApp> ProfileCache::get(const std::string& key,
   } catch (...) {
     promise.set_exception(std::current_exception());
   }
+  const std::uint64_t bytes = app != nullptr && app->profiler != nullptr
+                                  ? app->profiler->approx_memory_bytes()
+                                  : 0;
+  std::vector<Entry> evicted;  // Destroyed after the lock is released.
   {
     std::unique_lock<std::mutex> lock{mutex_};
-    const std::uint64_t bytes =
-        app != nullptr && app->profiler != nullptr
-            ? app->profiler->approx_memory_bytes()
-            : 0;
-    publish_locked(key, bytes);
+    publish_locked(key, bytes, evicted);
   }
   return entry.get();
 }
 
 void ProfileCache::publish_locked(const std::string& key,
-                                  std::uint64_t bytes) {
+                                  std::uint64_t bytes,
+                                  std::vector<Entry>& evicted) {
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     return;  // Evicted (or cleared) while computing — nothing to publish.
@@ -73,10 +74,10 @@ void ProfileCache::publish_locked(const std::string& key,
   it->second.ready = true;
   it->second.bytes = bytes;
   resident_bytes_ += bytes;
-  evict_over_caps_locked();
+  evict_over_caps_locked(evicted);
 }
 
-void ProfileCache::evict_over_caps_locked() {
+void ProfileCache::evict_over_caps_locked(std::vector<Entry>& evicted) {
   auto over = [this] {
     return (max_entries_ != 0 && entries_.size() > max_entries_) ||
            (max_bytes_ != 0 && resident_bytes_ > max_bytes_);
@@ -91,6 +92,7 @@ void ProfileCache::evict_over_caps_locked() {
       continue;
     }
     resident_bytes_ -= it->second.bytes;
+    evicted.push_back(std::move(it->second.future));
     entries_.erase(it);
     pos = lru_.erase(pos);
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -134,10 +136,11 @@ void ProfileCache::set_l2(std::shared_ptr<ProfileL2> l2) {
 
 void ProfileCache::set_capacity(std::size_t max_entries,
                                 std::uint64_t max_bytes) {
+  std::vector<Entry> evicted;  // Destroyed after the lock is released.
   std::unique_lock<std::mutex> lock{mutex_};
   max_entries_ = max_entries;
   max_bytes_ = max_bytes;
-  evict_over_caps_locked();
+  evict_over_caps_locked(evicted);
 }
 
 std::uint64_t ProfileCache::resident_bytes() const {
@@ -165,8 +168,9 @@ std::size_t ProfileCache::size() const {
 }
 
 void ProfileCache::clear() {
+  decltype(entries_) dropped;  // Destroyed after the lock is released.
   std::unique_lock<std::mutex> lock{mutex_};
-  entries_.clear();
+  dropped.swap(entries_);
   lru_.clear();
   resident_bytes_ = 0;
   hits_.store(0, std::memory_order_relaxed);

@@ -22,13 +22,14 @@
 // Concurrency: the first requester of a key computes (or loads from L2);
 // every concurrent or later requester blocks on a shared_future and counts
 // as a hit. Distinct keys never serialize — the factory runs outside the
-// cache lock — but a batch submitted app-major can still convoy cold: the
-// first N jobs all want key A, one thread computes it, and N-1 block on
-// the future instead of starting key B. convoy_waits() counts exactly
-// those blocked hits so benches can see the convoy;
-// bench::prewarm_profiles() removes it. A factory that throws caches the
-// exception (profiling is deterministic, retrying cannot help) and every
-// requester of that key sees the same error.
+// cache lock, and so do the destructors of evicted or cleared entries —
+// but a batch submitted app-major can still convoy cold: the first N jobs
+// all want key A, one thread computes it, and N-1 block on the future
+// instead of starting key B. convoy_waits() counts exactly those blocked
+// hits so benches can see the convoy; bench::prewarm_profiles() removes
+// it. A factory that throws caches the exception (profiling is
+// deterministic, retrying cannot help) and every requester of that key
+// sees the same error.
 #pragma once
 
 #include <atomic>
@@ -41,6 +42,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "apps/app.hpp"
 #include "apps/synthetic.hpp"
@@ -152,8 +154,13 @@ private:
 
   /// Mark `key` ready with `bytes` resident, then enforce the caps.
   /// Called (locked) after the future is fulfilled.
-  void publish_locked(const std::string& key, std::uint64_t bytes);
-  void evict_over_caps_locked();
+  void publish_locked(const std::string& key, std::uint64_t bytes,
+                      std::vector<Entry>& evicted);
+  /// Drop least-recently-used ready entries until under the caps, moving
+  /// their futures into `evicted`: the caller destroys them after
+  /// unlocking, so a profile whose last reference the cache held is freed
+  /// outside mutex_.
+  void evict_over_caps_locked(std::vector<Entry>& evicted);
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Record> entries_;

@@ -183,7 +183,7 @@ ProfiledApp make_synthetic_app(const SyntheticConfig& cfg) {
 
   app.verified = true;
   app.verification_note = "synthetic dataflow (no functional semantics)";
-  q.finalize();
+  q.seal();
   return app;
 }
 

@@ -50,7 +50,12 @@ std::string to_string(MemConn m) {
 }
 
 std::string to_string(InterconnectClass ic) {
-  return "{" + to_string(ic.kernel) + "," + to_string(ic.memory) + "}";
+  std::string text = "{";
+  text += to_string(ic.kernel);
+  text += ',';
+  text += to_string(ic.memory);
+  text += '}';
+  return text;
 }
 
 }  // namespace hybridic::core

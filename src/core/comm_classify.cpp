@@ -52,7 +52,12 @@ std::string to_string(SendClass s) {
 }
 
 std::string to_string(CommClass c) {
-  return "{" + to_string(c.recv) + "," + to_string(c.send) + "}";
+  std::string text = "{";
+  text += to_string(c.recv);
+  text += ',';
+  text += to_string(c.send);
+  text += '}';
+  return text;
 }
 
 }  // namespace hybridic::core

@@ -169,8 +169,11 @@ DesignResult build_design(const DesignInput& input,
       inst.spec_index = s;
       inst.function = input.kernels[s].function;
       inst.work_share = 1.0 / copies;
-      inst.name = input.kernels[s].name +
-                  (copies > 1 ? "#" + std::to_string(c) : "");
+      inst.name = input.kernels[s].name;
+      if (copies > 1) {
+        inst.name += '#';
+        inst.name += std::to_string(c);
+      }
       instances_of_spec[s].push_back(result.instances.size());
       result.instances.push_back(std::move(inst));
     }

@@ -5,6 +5,13 @@
 // one hash lookup per 4 KiB page, and popcount gives the exact number of
 // freshly inserted addresses — so counts match a byte-by-byte insert loop
 // bit for bit.
+//
+// A whole-page insert makes the page *full*: its key stays present but it
+// owns no bitmap, so the bulk accesses of synthetic designs cost one hash
+// node per page and no 512-byte bitmap. Partial inserts into a full page
+// add nothing. The one-entry cache points at a bitmap (never at a map
+// slot), so the element-by-element inserts of the paper apps pay no extra
+// dependent load for the full-page case (docs/MODEL.md §10).
 #pragma once
 
 #include <algorithm>
@@ -29,10 +36,13 @@ public:
     std::uint64_t pos = addr;
     const std::uint64_t end = addr + size;
     while (pos < end) {
-      Page& page = page_for(pos / kPageBytes);
       const std::uint64_t offset = pos % kPageBytes;
       const std::uint64_t in_page = std::min(end - pos, kPageBytes - offset);
-      fresh += set_bits(page, offset, in_page);
+      if (in_page == kPageBytes) {
+        fresh += fill_page(pos / kPageBytes);
+      } else if (Page* page = bitmap_for(pos / kPageBytes); page != nullptr) {
+        fresh += set_bits(*page, offset, in_page);
+      }
       pos += in_page;
     }
     count_ += fresh;
@@ -47,6 +57,9 @@ public:
     if (it == pages_.end()) {
       return false;
     }
+    if (it->second == nullptr) {
+      return true;  // Full page.
+    }
     const std::uint64_t offset = addr % kPageBytes;
     return ((*it->second)[offset / 64] >> (offset % 64) & 1U) != 0;
   }
@@ -56,8 +69,16 @@ public:
 
   [[nodiscard]] bool empty() const { return count_ == 0; }
 
-  /// Allocated bitmap pages (memory accounting; kPageBytes/8 bytes each).
+  /// Pages holding at least one address, full or not.
   [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
+
+  /// Pages that still own a bitmap (kPageBytes/8 bytes each); full pages
+  /// own none.
+  [[nodiscard]] std::size_t bitmap_page_count() const {
+    return static_cast<std::size_t>(std::count_if(
+        pages_.begin(), pages_.end(),
+        [](const auto& entry) { return entry.second != nullptr; }));
+  }
 
   /// Move every page of `other` into this set and add its count. Page sets
   /// must be disjoint (the parallel-replay shards partition addresses by
@@ -80,18 +101,41 @@ public:
 private:
   using Page = std::array<std::uint64_t, kPageBytes / 64>;
 
-  Page& page_for(std::uint64_t key) {
+  /// The bitmap of page `key`, allocated zeroed on first touch; nullptr
+  /// when the page is full.
+  Page* bitmap_for(std::uint64_t key) {
     if (cached_page_ != nullptr && key == cached_key_) {
-      return *cached_page_;
+      return cached_page_;
     }
-    auto& slot = pages_[key];
-    if (slot == nullptr) {
-      slot = std::make_unique<Page>();
-      slot->fill(0);
+    auto [it, inserted] = pages_.try_emplace(key);
+    if (inserted) {
+      it->second = std::make_unique<Page>();  // Value-initialized: zeros.
     }
-    cached_key_ = key;
-    cached_page_ = slot.get();
-    return *slot;
+    if (it->second != nullptr) {
+      cached_key_ = key;
+      cached_page_ = it->second.get();
+    }
+    return it->second.get();
+  }
+
+  /// Make page `key` full; returns how many of its addresses were absent.
+  std::uint64_t fill_page(std::uint64_t key) {
+    auto [it, inserted] = pages_.try_emplace(key);
+    if (inserted) {
+      return kPageBytes;  // A new key with no bitmap is a full page.
+    }
+    if (it->second == nullptr) {
+      return 0;
+    }
+    std::uint64_t present = 0;
+    for (const std::uint64_t word : *it->second) {
+      present += static_cast<std::uint64_t>(std::popcount(word));
+    }
+    if (cached_page_ == it->second.get()) {
+      cached_page_ = nullptr;
+    }
+    it->second.reset();
+    return kPageBytes - present;
   }
 
   /// Set `count` bits starting at bit `offset`; returns how many flipped
@@ -115,6 +159,7 @@ private:
     return fresh;
   }
 
+  /// A null bitmap marks a full page.
   std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
   std::uint64_t cached_key_ = 0;
   Page* cached_page_ = nullptr;

@@ -57,6 +57,9 @@ public:
   /// All edges with non-zero byte counts, ordered by (producer, consumer).
   [[nodiscard]] std::vector<CommEdge> edges() const;
 
+  /// Stored edge records, zero-byte ones included (memory accounting).
+  [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
+
   /// Bytes flowing producer->consumer (zero if no edge).
   [[nodiscard]] Bytes bytes_between(FunctionId producer,
                                     FunctionId consumer) const;

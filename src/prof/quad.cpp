@@ -28,6 +28,7 @@ std::size_t shard_of_page(std::uint64_t page) { return page % kReplayShards; }
 }  // namespace
 
 FunctionId QuadProfiler::declare(std::string name) {
+  require(!sealed_, "declare() on a sealed profiler");
   const FunctionId id = graph_.add_function(std::move(name));
   write_footprint_.emplace_back();
   read_footprint_.emplace_back();
@@ -64,7 +65,7 @@ std::uint64_t QuadProfiler::allocate(std::uint64_t bytes,
 }
 
 void QuadProfiler::record_write(std::uint64_t addr, std::uint64_t size) {
-  require(!restored_, "record_write on a profiler restored from a snapshot");
+  require(!sealed_, "record_write on a sealed profiler");
   const FunctionId writer = current();
   graph_.function_mutable(writer).writes += size;
   write_footprint_[writer].insert_range(addr, size);
@@ -91,7 +92,7 @@ void QuadProfiler::record_write(std::uint64_t addr, std::uint64_t size) {
 }
 
 void QuadProfiler::record_read(std::uint64_t addr, std::uint64_t size) {
-  require(!restored_, "record_read on a profiler restored from a snapshot");
+  require(!sealed_, "record_read on a sealed profiler");
   const FunctionId consumer = current();
   graph_.function_mutable(consumer).reads += size;
   read_footprint_[consumer].insert_range(addr, size);
@@ -158,6 +159,25 @@ void QuadProfiler::finalize(ThreadPool* pool) {
   }
   trace_.clear();
   trace_.shrink_to_fit();
+}
+
+void QuadProfiler::seal() {
+  if (sealed_) {
+    return;
+  }
+  require(stack_.empty(), "seal() with open function scopes");
+  finalize();
+  for (FunctionId id = 0; id < graph_.function_count(); ++id) {
+    sealed_unique_read_.push_back(read_footprint_[id].size());
+    sealed_unique_written_.push_back(write_footprint_[id].size());
+  }
+  shadow_.release();
+  uma_.clear();
+  // Move-assign empty vectors: clear() would keep their capacity.
+  read_footprint_ = std::vector<PagedByteSet>{};
+  write_footprint_ = std::vector<PagedByteSet>{};
+  trace_ = std::vector<TraceEvent>{};
+  sealed_ = true;
 }
 
 void QuadProfiler::replay_serial() {
@@ -246,21 +266,17 @@ void QuadProfiler::replay_sharded(ThreadPool& pool) {
 }
 
 std::uint64_t QuadProfiler::unique_bytes_written(FunctionId function) const {
-  require(function < write_footprint_.size(),
+  require(function < graph_.function_count(),
           "footprint query for undeclared function");
-  if (restored_) {
-    return restored_unique_written_[function];
-  }
-  return write_footprint_[function].size();
+  return sealed_ ? sealed_unique_written_[function]
+                 : write_footprint_[function].size();
 }
 
 std::uint64_t QuadProfiler::unique_bytes_read(FunctionId function) const {
-  require(function < read_footprint_.size(),
+  require(function < graph_.function_count(),
           "footprint query for undeclared function");
-  if (restored_) {
-    return restored_unique_read_[function];
-  }
-  return read_footprint_[function].size();
+  return sealed_ ? sealed_unique_read_[function]
+                 : read_footprint_[function].size();
 }
 
 std::string QuadProfiler::memory_report() const {
@@ -304,15 +320,16 @@ std::unique_ptr<QuadProfiler> QuadProfiler::from_snapshot(
     const ProfileSnapshot& snap) {
   auto profiler = std::make_unique<QuadProfiler>(ProfileMode::kEager);
   profiler->finalized_ = true;
+  profiler->sealed_ = true;
   for (const ProfileSnapshot::Function& fn : snap.functions) {
-    const FunctionId id = profiler->declare(fn.name);
+    const FunctionId id = profiler->graph_.add_function(fn.name);
     FunctionProfile& record = profiler->graph_.function_mutable(id);
     record.work_units = fn.work_units;
     record.reads = fn.reads;
     record.writes = fn.writes;
     record.calls = fn.calls;
-    profiler->restored_unique_read_.push_back(fn.unique_bytes_read);
-    profiler->restored_unique_written_.push_back(fn.unique_bytes_written);
+    profiler->sealed_unique_read_.push_back(fn.unique_bytes_read);
+    profiler->sealed_unique_written_.push_back(fn.unique_bytes_written);
   }
   for (const ProfileSnapshot::Edge& edge : snap.edges) {
     require(edge.producer < profiler->graph_.function_count() &&
@@ -326,30 +343,37 @@ std::unique_ptr<QuadProfiler> QuadProfiler::from_snapshot(
             "snapshot call order references undeclared function");
   }
   profiler->first_call_order_ = snap.call_order;
-  // Flag restored *after* rebuild so the loop above could use declare().
-  profiler->restored_ = true;
   return profiler;
 }
 
 std::uint64_t QuadProfiler::approx_memory_bytes() const {
+  // What a sealed profiler keeps: graph, names, footprint counts.
   std::uint64_t total = sizeof(QuadProfiler);
+  for (FunctionId id = 0; id < graph_.function_count(); ++id) {
+    total += graph_.function(id).name.size() + 128;
+  }
+  total += graph_.edge_count() * 64;
+  total += (sealed_unique_read_.size() + sealed_unique_written_.size()) *
+           sizeof(std::uint64_t);
+  total += first_call_order_.size() * sizeof(FunctionId);
+  // Recording state, freed by seal().
   total += shadow_.page_count() * 64 +
            shadow_.split_page_count() * ShadowMemory::kPageBytes *
                sizeof(FunctionId);
   total += trace_.capacity() * sizeof(TraceEvent);
-  constexpr std::uint64_t kBitmapPageBytes = PagedByteSet::kPageBytes / 8 + 64;
+  const auto byte_set_bytes = [](const PagedByteSet& set) {
+    return set.page_count() * 64 +
+           set.bitmap_page_count() * (PagedByteSet::kPageBytes / 8);
+  };
   for (const PagedByteSet& set : write_footprint_) {
-    total += set.page_count() * kBitmapPageBytes;
+    total += byte_set_bytes(set);
   }
   for (const PagedByteSet& set : read_footprint_) {
-    total += set.page_count() * kBitmapPageBytes;
+    total += byte_set_bytes(set);
   }
   for (const auto& [key, set] : uma_) {
     (void)key;
-    total += set.page_count() * kBitmapPageBytes + 64;
-  }
-  for (FunctionId id = 0; id < graph_.function_count(); ++id) {
-    total += graph_.function(id).name.size() + 128;
+    total += byte_set_bytes(set) + 64;
   }
   return total;
 }

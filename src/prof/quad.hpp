@@ -39,7 +39,8 @@ enum class ProfileMode { kEager, kDeferred };
 /// consumes downstream of profiling (graph, per-function counters, unique
 /// footprints, observed call order) — and nothing it does not (no shadow
 /// pages, no event trace). This is the unit the persistent store
-/// serializes; QuadProfiler::from_snapshot rebuilds an equivalent profiler.
+/// serializes; QuadProfiler::from_snapshot rebuilds an equivalent, sealed
+/// profiler.
 struct ProfileSnapshot {
   struct Function {
     std::string name;
@@ -71,7 +72,8 @@ public:
   QuadProfiler(const QuadProfiler&) = delete;
   QuadProfiler& operator=(const QuadProfiler&) = delete;
 
-  /// Declare a function; returns its id. Names must be unique.
+  /// Declare a function; returns its id. Names must be unique. Throws
+  /// ConfigError once sealed.
   FunctionId declare(std::string name);
 
   /// Enter/leave the dynamic scope of a function. Nested calls allowed.
@@ -85,11 +87,13 @@ public:
   [[nodiscard]] std::uint64_t allocate(std::uint64_t bytes,
                                        std::uint64_t alignment = 64);
 
-  /// Record a write of [addr, addr+size) by the current function.
+  /// Record a write of [addr, addr+size) by the current function. Throws
+  /// ConfigError once sealed.
   void record_write(std::uint64_t addr, std::uint64_t size);
 
   /// Record a read of [addr, addr+size) by the current function; attributes
-  /// each byte to its last writer (in finalize() when deferred).
+  /// each byte to its last writer (in finalize() when deferred). Throws
+  /// ConfigError once sealed.
   void record_read(std::uint64_t addr, std::uint64_t size);
 
   /// Add explicit computational work units to the current function (the
@@ -103,6 +107,17 @@ public:
   /// graph is byte-identical either way. After finalize() the profiler
   /// behaves exactly like an eager one (further record_* calls allowed).
   void finalize(ThreadPool* pool = nullptr);
+
+  /// Finish the profile for good: finalize(), keep each function's
+  /// unique read/write counts, then free what only recording needs — the
+  /// shadow pages (scan_count() is kept), the footprint and UMA byte sets
+  /// and the event trace. The profiler is left in the state from_snapshot
+  /// builds (mode() aside, which a snapshot does not carry): every
+  /// read-side query answers as before, while declare() and record_*
+  /// throw. Idempotent. Producers of cached profiles
+  /// (ProfiledApp) call this, so a cache entry holds what Algorithm 1
+  /// reads and is freed cheaply wherever its last reference drops.
+  void seal();
 
   /// Deferred events currently buffered (0 in eager mode / after
   /// finalize) — exposed for tests and memory accounting.
@@ -140,19 +155,22 @@ public:
   /// eager) profiler with no open scopes.
   [[nodiscard]] ProfileSnapshot snapshot() const;
 
-  /// Rebuild a profiler from a snapshot. The result serves every read-side
-  /// query (graph, footprint counts, call order, memory_report) with the
-  /// snapshotted values, but owns no shadow pages: further record_* calls
-  /// throw — a restored profile is a finished artifact, not a session.
+  /// Rebuild a sealed profiler from a snapshot. The result serves every
+  /// read-side query (graph, footprint counts, call order, memory_report)
+  /// with the snapshotted values, but owns no shadow pages: further
+  /// record_* calls throw — a restored profile is a finished artifact, not
+  /// a session.
   [[nodiscard]] static std::unique_ptr<QuadProfiler> from_snapshot(
       const ProfileSnapshot& snap);
 
-  /// True when this profiler was rebuilt via from_snapshot().
-  [[nodiscard]] bool restored() const { return restored_; }
+  /// True after seal() and for profilers rebuilt via from_snapshot().
+  [[nodiscard]] bool sealed() const { return sealed_; }
 
-  /// Rough resident footprint in bytes (shadow pages, with cell storage
-  /// charged only for split ones; footprint bitmaps, UMA bitmaps, buffered
-  /// trace) — the L1 cache's eviction accounting.
+  /// Rough resident footprint in bytes — the L1 cache's eviction
+  /// accounting. Charges the graph, names and footprint counts; shadow
+  /// pages, with cell storage only for split ones; byte-set pages, with a
+  /// bitmap only for pages that are not full; the buffered trace. A sealed
+  /// profiler holds only the first group.
   [[nodiscard]] std::uint64_t approx_memory_bytes() const;
 
 private:
@@ -174,17 +192,17 @@ private:
 
   ProfileMode mode_ = ProfileMode::kEager;
   bool finalized_ = false;
-  bool restored_ = false;
+  bool sealed_ = false;
   CommGraph graph_;
   ShadowMemory shadow_;
   std::vector<TraceEvent> trace_;
   std::vector<FunctionId> stack_;
   std::vector<PagedByteSet> write_footprint_;
   std::vector<PagedByteSet> read_footprint_;
-  /// Unique-footprint counts carried over by from_snapshot (the bitmaps
-  /// themselves are not serialized).
-  std::vector<std::uint64_t> restored_unique_read_;
-  std::vector<std::uint64_t> restored_unique_written_;
+  /// Unique-footprint counts of a sealed profiler, kept by seal() or
+  /// carried over by from_snapshot (the byte sets are gone).
+  std::vector<std::uint64_t> sealed_unique_read_;
+  std::vector<std::uint64_t> sealed_unique_written_;
   std::vector<FunctionId> first_call_order_;
   std::uint64_t next_addr_ = 0x1000;
 

@@ -65,6 +65,13 @@ void ShadowMemory::absorb(ShadowMemory& other) {
                    std::memory_order_relaxed);
 }
 
+void ShadowMemory::release() {
+  pages_ = decltype(pages_){};
+  split_pages_ = 0;
+  cached_key_ = UINT64_MAX;
+  cached_page_ = nullptr;
+}
+
 FunctionId ShadowMemory::last_writer(std::uint64_t addr) const {
   const Page* page = lookup_page(addr / kPageBytes);
   if (page == nullptr) {

@@ -111,6 +111,10 @@ public:
   /// summed so instrumentation sees the shard scans too.
   void absorb(ShadowMemory& other);
 
+  /// Free every page (QuadProfiler::seal); scan_count() is kept, so a
+  /// sealed profile still reports the passes that produced it.
+  void release();
+
   /// Number of scan() calls ever made against this shadow. The profile
   /// memoization cache's hit path must leave this untouched (tested), which
   /// is what "a hit does zero shadow-memory passes" means operationally.

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "prof/byte_set.hpp"
 #include "prof/tracked.hpp"
 #include "sim/clock.hpp"
 #include "sim/engine.hpp"
@@ -16,9 +17,17 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+/// Allocations the size of one PagedByteSet page bitmap. No hash-node or
+/// bucket array has this size (buckets come in prime counts).
+std::atomic<std::uint64_t> g_bitmap_sized{0};
+constexpr std::size_t kBitmapBytes =
+    hybridic::prof::PagedByteSet::kPageBytes / 8;
 
 void* counted_alloc(std::size_t size, std::size_t alignment) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size == kBitmapBytes) {
+    g_bitmap_sized.fetch_add(1, std::memory_order_relaxed);
+  }
   if (size == 0) {
     size = 1;
   }
@@ -108,6 +117,37 @@ TEST(HotPaths, TrackedAccessesDoNotAllocateOnExistingPages) {
   EXPECT_GT(sum, 0U);
   EXPECT_EQ(q.graph().bytes_between(producer, consumer).count(),
             (3000U + 5000U) * sizeof(std::uint32_t));
+}
+
+TEST(HotPaths, WholePageInsertsAllocateNoBitmap) {
+  constexpr std::uint64_t kPage = prof::PagedByteSet::kPageBytes;
+  prof::PagedByteSet set;
+  const std::uint64_t before = g_bitmap_sized.load();
+  // One 64-page range, then page by page: every page is whole.
+  EXPECT_EQ(set.insert_range(0, 64 * kPage), 64 * kPage);
+  for (std::uint64_t page = 100; page < 164; ++page) {
+    EXPECT_EQ(set.insert_range(page * kPage, kPage), kPage);
+  }
+  EXPECT_EQ(g_bitmap_sized.load() - before, 0U);
+  EXPECT_EQ(set.bitmap_page_count(), 0U);
+  // The counter does see a bitmap: a partial insert needs one.
+  (void)set.insert_range(200 * kPage + 1, 10);
+  EXPECT_EQ(g_bitmap_sized.load() - before, 1U);
+}
+
+TEST(HotPaths, ElementInsertsIntoCachedPartialPageDoNotAllocate) {
+  constexpr std::uint64_t kPage = prof::PagedByteSet::kPageBytes;
+  prof::PagedByteSet set;
+  (void)set.insert_range(7 * kPage + 3, 1);  // Warm-up: the bitmap exists.
+  (void)set.insert_range(9 * kPage, kPage);  // A full neighbour.
+  const std::uint64_t before = allocations();
+  std::uint64_t fresh = 0;
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    fresh += set.insert_range(7 * kPage + i * 7 % (kPage - 4), 4);
+  }
+  EXPECT_EQ(allocations() - before, 0U);
+  EXPECT_GT(fresh, 0U);
+  EXPECT_EQ(set.bitmap_page_count(), 1U);
 }
 
 /// A clocked component that stays active for a fixed number of edges.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -117,8 +119,9 @@ TEST(Network, MessagesBetweenSamePairStayOrdered) {
 TEST(Network, ConcurrentFlowsAllDeliver) {
   Fixture f;
   for (std::uint32_t n = 0; n < 9; ++n) {
-    f.network.attach_adapter(n, "n" + std::to_string(n),
-                             AdapterKind::kAccelerator);
+    std::string name = "n";
+    name += std::to_string(n);
+    f.network.attach_adapter(n, std::move(name), AdapterKind::kAccelerator);
   }
   int delivered = 0;
   int expected = 0;
@@ -204,7 +207,9 @@ TEST_P(RandomTraffic, Conservation) {
   Rng rng{seed};
   Fixture f{dim, dim};
   for (std::uint32_t n = 0; n < dim * dim; ++n) {
-    f.network.attach_adapter(n, "n" + std::to_string(n),
+    std::string name = "n";
+    name += std::to_string(n);
+    f.network.attach_adapter(n, std::move(name),
                              n % 2 == 0 ? AdapterKind::kAccelerator
                                         : AdapterKind::kLocalMemory);
   }

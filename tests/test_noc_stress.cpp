@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "noc/network.hpp"
@@ -18,8 +20,9 @@ struct Net {
   explicit Net(std::uint32_t dim, NetworkConfig config = {})
       : network("noc", engine, kNocClock, Mesh2D{dim, dim}, config) {
     for (std::uint32_t n = 0; n < dim * dim; ++n) {
-      network.attach_adapter(n, "n" + std::to_string(n),
-                             AdapterKind::kAccelerator);
+      std::string name = "n";
+      name += std::to_string(n);
+      network.attach_adapter(n, std::move(name), AdapterKind::kAccelerator);
     }
   }
   sim::Engine engine;

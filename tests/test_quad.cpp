@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -344,7 +345,7 @@ TEST(QuadSnapshot, RoundTripPreservesDownstreamView) {
   const std::unique_ptr<QuadProfiler> restored =
       QuadProfiler::from_snapshot(snap);
   ASSERT_NE(restored, nullptr);
-  EXPECT_TRUE(restored->restored());
+  EXPECT_TRUE(restored->sealed());
   expect_same_profile(q, *restored);
   EXPECT_EQ(q.memory_report(), restored->memory_report());
 }
@@ -361,6 +362,107 @@ TEST(QuadSnapshot, RestoredProfilerRejectsNewAccesses) {
   EXPECT_THROW(restored->record_write(0x1000, 4), ConfigError);
   EXPECT_THROW(restored->record_read(0x1000, 4), ConfigError);
   restored->leave();
+}
+
+// ---------------------------------------------------------------------------
+// Sealing: a finished profile keeps only what downstream code reads.
+// ---------------------------------------------------------------------------
+
+void expect_same_snapshot(const ProfileSnapshot& x, const ProfileSnapshot& y) {
+  ASSERT_EQ(x.functions.size(), y.functions.size());
+  for (std::size_t i = 0; i < x.functions.size(); ++i) {
+    const ProfileSnapshot::Function& a = x.functions[i];
+    const ProfileSnapshot::Function& b = y.functions[i];
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.work_units, b.work_units);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.calls, b.calls);
+    EXPECT_EQ(a.unique_bytes_read, b.unique_bytes_read);
+    EXPECT_EQ(a.unique_bytes_written, b.unique_bytes_written);
+  }
+  ASSERT_EQ(x.edges.size(), y.edges.size());
+  for (std::size_t i = 0; i < x.edges.size(); ++i) {
+    EXPECT_EQ(x.edges[i].producer, y.edges[i].producer);
+    EXPECT_EQ(x.edges[i].consumer, y.edges[i].consumer);
+    EXPECT_EQ(x.edges[i].bytes, y.edges[i].bytes);
+    EXPECT_EQ(x.edges[i].unique_addresses, y.edges[i].unique_addresses);
+  }
+  EXPECT_EQ(x.call_order, y.call_order);
+}
+
+class QuadSeal : public ::testing::TestWithParam<void (*)(QuadProfiler&)> {};
+
+TEST_P(QuadSeal, SealedEqualsFinalizedOnEveryReadSideQuery) {
+  QuadProfiler finalized{ProfileMode::kDeferred};
+  GetParam()(finalized);
+  finalized.finalize();
+  QuadProfiler sealed{ProfileMode::kDeferred};
+  GetParam()(sealed);
+  sealed.seal();
+  EXPECT_FALSE(finalized.sealed());
+  EXPECT_TRUE(sealed.sealed());
+  expect_same_profile(finalized, sealed);
+  EXPECT_EQ(finalized.memory_report(), sealed.memory_report());
+  expect_same_snapshot(finalized.snapshot(), sealed.snapshot());
+}
+
+TEST_P(QuadSeal, SealFreesShadowKeepsScanCountAndIsIdempotent) {
+  QuadProfiler q{ProfileMode::kEager};
+  GetParam()(q);
+  const std::uint64_t scans = q.shadow().scan_count();
+  const std::uint64_t unsealed_bytes = q.approx_memory_bytes();
+  ASSERT_GT(scans, 0U);
+  ASSERT_GT(q.shadow().page_count(), 0U);
+  const std::string report = q.memory_report();
+  q.seal();
+  EXPECT_EQ(q.shadow().page_count(), 0U);
+  EXPECT_EQ(q.shadow().split_page_count(), 0U);
+  EXPECT_EQ(q.shadow().scan_count(), scans);
+  EXPECT_EQ(q.pending_events(), 0U);
+  const std::uint64_t sealed_bytes = q.approx_memory_bytes();
+  EXPECT_LT(sealed_bytes * 10, unsealed_bytes);
+  q.seal();  // Idempotent.
+  EXPECT_TRUE(q.sealed());
+  EXPECT_EQ(q.shadow().scan_count(), scans);
+  EXPECT_EQ(q.approx_memory_bytes(), sealed_bytes);
+  EXPECT_EQ(q.memory_report(), report);
+  // The state from_snapshot builds, down to the memory accounting.
+  EXPECT_EQ(QuadProfiler::from_snapshot(q.snapshot())->approx_memory_bytes(),
+            sealed_bytes);
+}
+
+TEST_P(QuadSeal, SealedProfilerRejectsRecording) {
+  QuadProfiler q{ProfileMode::kDeferred};
+  GetParam()(q);
+  q.seal();
+  const std::uint64_t edges = q.graph().edges().size();
+  q.enter(0);
+  EXPECT_THROW(q.record_write(0x1000, 4), ConfigError);
+  EXPECT_THROW(q.record_read(0x1000, 4), ConfigError);
+  q.leave();
+  EXPECT_THROW((void)q.declare("late"), ConfigError);
+  EXPECT_EQ(q.graph().edges().size(), edges);
+}
+
+std::string workload_name(
+    const ::testing::TestParamInfo<QuadSeal::ParamType>& param) {
+  return param.param == &run_workload ? "Mixed" : "UniformPages";
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, QuadSeal,
+                         ::testing::Values(&run_workload,
+                                           &run_page_workload),
+                         workload_name);
+
+TEST(QuadSeal, SealWithOpenScopeThrows) {
+  QuadProfiler q;
+  const FunctionId f = q.declare("f");
+  q.enter(f);
+  EXPECT_THROW(q.seal(), ConfigError);
+  q.leave();
+  q.seal();
+  EXPECT_TRUE(q.sealed());
 }
 
 TEST(ScopedFunctionTest, RaiiEnterLeave) {

@@ -53,7 +53,8 @@ DesignResult make_design() {
   DesignResult design;
   for (int i = 0; i < 6; ++i) {
     KernelInstance inst;
-    inst.name = "k" + std::to_string(i);
+    inst.name = "k";
+    inst.name += std::to_string(i);
     inst.spec_index = static_cast<std::size_t>(i);
     inst.mapping = InterconnectClass{KernelConn::kK1, MemConn::kM1};
     design.instances.push_back(inst);

@@ -16,12 +16,17 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/profile_cache.hpp"
 #include "apps/synthetic.hpp"
+#include "dse/campaign.hpp"
 #include "store/adapters.hpp"
 #include "store/codec.hpp"
 #include "tiers/analytic.hpp"
+#include "util/hash.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::store {
 namespace {
@@ -228,6 +233,41 @@ TEST(StoreCodec, ProfileEncodeDecodeEncodeIsByteIdentical) {
       decode_profile(encoded);
   ASSERT_NE(decoded, nullptr);
   EXPECT_EQ(encode_profile(*decoded), encoded);
+}
+
+/// FNV-1a of encode_profile for the four paper apps and the first 20
+/// designs of dse campaign seed 1, recorded before profiles were sealed:
+/// sealing must not move a single byte of what the store persists.
+TEST(StoreCodec, EncodedProfilesMatchRecordedDigests) {
+  const std::vector<std::pair<std::string, std::string>> paper = {
+      {"canny", "8da2cad78f753f51"},
+      {"jpeg", "3101e115617124be"},
+      {"klt", "21f356df51bcfe57"},
+      {"fluid", "f3fb28a7aa0e0f27"},
+  };
+  for (const auto& [name, digest] : paper) {
+    EXPECT_EQ(util::hex16(util::fnv1a64(
+                  encode_profile(apps::run_paper_app(name)))),
+              digest)
+        << name;
+  }
+  const std::vector<std::string> synthetic = {
+      "abf69d30d6d3af19", "c8faeee9ee1c5381", "25863b3b5ead9d17",
+      "6e4b88b7e0aa6f43", "dcb6088e00f74305", "a9bcda992a6e78f7",
+      "985480b019fa81a6", "384581102dabc4d0", "304565a266820a72",
+      "23fe80b1d8411595", "6eb314651eeffd6d", "66bc97ac4ede14d4",
+      "f1a843b29ab39ba5", "8c011c4f739c29ff", "5b23fcb1abc5ca76",
+      "f2e9635e8688d83e", "838c886af1f78bae", "4b034cf4f56d3098",
+      "40f5717b67b998cb", "3f5602a74b574a30",
+  };
+  for (std::uint64_t i = 0; i < synthetic.size(); ++i) {
+    const apps::SyntheticConfig config =
+        dse::sample_config(dse::SweepSpace{}, 1, i);
+    EXPECT_EQ(util::hex16(util::fnv1a64(
+                  encode_profile(apps::make_synthetic_app(config)))),
+              synthetic[i])
+        << "design " << i;
+  }
 }
 
 TEST(StoreCodec, EstimateRoundTripIsBitExact) {

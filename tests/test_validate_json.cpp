@@ -74,7 +74,7 @@ TEST(Validate, OversizedInputIsWarningNotError) {
 TEST(Validate, DirectSharingWithHostTrafficIsError) {
   Minimal m;
   KernelInstance consumer = m.design.instances[0];
-  consumer.name = "c";
+  consumer.name = std::string{"c"};
   consumer.quantities.host_out = Bytes{100};
   m.design.instances.push_back(consumer);
   m.design.shared_pairs.push_back(
