@@ -31,6 +31,23 @@ inline std::size_t parse_threads(int argc, char** argv) {
   return threads;
 }
 
+/// The command line of the paper-app sweeps (fault_campaign,
+/// topology_sweep, search_campaign): `--threads N` (0 = hardware
+/// concurrency) and `--smoke` for the small CI subset.
+struct SweepArgs {
+  std::size_t threads = 0;
+  bool smoke = false;
+};
+
+inline SweepArgs parse_sweep_args(int argc, char** argv) {
+  SweepArgs args;
+  util::Flags{"[--threads N] [--smoke]"}
+      .value("--threads", args.threads)
+      .on("--smoke", args.smoke)
+      .parse_or_exit(argc, argv);
+  return args;
+}
+
 /// Paper-published reference numbers (Fig. 4, Table III, Table IV, Fig. 9).
 struct PaperReference {
   // Table III.
@@ -119,6 +136,18 @@ inline void prewarm_profiles(apps::ProfileCache& cache,
   (void)runner.run(std::move(jobs));
 }
 
+/// Run an app-major batch of jobs over the paper apps `names`, profiling
+/// each distinct app concurrently first (prewarm_profiles), so a cold
+/// cache never convoys the first workers on one in-flight profile.
+template <typename R>
+std::vector<R> run_prewarmed(apps::ProfileCache& cache,
+                             sys::BatchRunner& runner,
+                             const std::vector<std::string>& names,
+                             std::vector<sys::BatchRunner::Job<R>> jobs) {
+  prewarm_profiles(cache, runner, names);
+  return runner.run(std::move(jobs));
+}
+
 /// Convenience overload for benches that don't need to reuse the cache or
 /// inspect batch metrics.
 inline std::map<std::string, sys::AppExperiment> run_all_experiments(
@@ -144,11 +173,17 @@ inline void print_batch_metrics(const sys::BatchRunner& runner,
             << " convoy-waits=" << cache.convoy_waits() << "\n";
 }
 
-/// Where CSV copies of each table/figure land (./bench_results/).
-inline std::string csv_path(const std::string& name) {
+/// Where the output file `file_name` lands: ./bench_results/, created if
+/// needed.
+inline std::string results_path(const std::string& file_name) {
   std::error_code ec;
   std::filesystem::create_directories("bench_results", ec);
-  return "bench_results/" + name + ".csv";
+  return "bench_results/" + file_name;
+}
+
+/// Where CSV copies of each table/figure land (./bench_results/).
+inline std::string csv_path(const std::string& name) {
+  return results_path(name + ".csv");
 }
 
 /// Replace (or append) one marker-delimited section of

@@ -55,28 +55,6 @@ constexpr int kExitQuarantined = 7;
 /// gate, drains in-flight jobs, and flushes the journal.
 std::atomic<bool> g_stop{false};
 
-struct Options {
-  std::size_t threads = 0;
-  std::uint64_t count = 1000;
-  std::uint64_t seed = 1;
-  bool smoke = false;
-  tiers::TierMode tier = tiers::TierMode::kCycle;
-  std::string store_dir;
-  std::uint64_t shard_index = 0;
-  std::uint64_t shard_count = 1;
-  /// CI warm-restart smoke: exit kExitStore unless the store served at
-  /// least one profile (proves a second --store run actually hits L2).
-  bool assert_warm = false;
-  std::uint32_t boards = 1;
-  std::string board_topology = "chain";
-  std::string journal_path;
-  bool resume = false;
-  double job_timeout = 0.0;
-  bool search = false;
-  std::uint32_t search_restarts = 2;
-  std::uint32_t search_iterations = 60;
-};
-
 constexpr const char* kSynopsis =
     "[--threads N] [--count N] [--seed S] [--tier auto|analytic|cycle]"
     " [--smoke] [--store DIR] [--shard I/N] [--assert-warm]"
@@ -144,26 +122,37 @@ std::uint32_t positive_u32(const std::string& flag, const std::string& value) {
   return static_cast<std::uint32_t>(n);
 }
 
-Options parse(int argc, char** argv) {
-  Options options;
+/// The command line, bound straight into the campaign's options.
+struct Command {
+  dse::CampaignOptions campaign;
+  bool smoke = false;
+  /// CI warm-restart smoke: exit kExitStore unless the store served at
+  /// least one profile (proves a second --store run actually hits L2).
+  bool assert_warm = false;
+};
+
+Command parse(int argc, char** argv) {
+  Command command;
+  dse::CampaignOptions& campaign = command.campaign;
   bool count_given = false;
+  std::string board_topology = "chain";
   util::Flags flags{kSynopsis, kDetails};
   flags.version("dse_campaign engine revision " +
                 std::to_string(store::kEngineRevision));
-  flags.on("--resume", options.resume)
-      .on("--smoke", options.smoke)
-      .on("--assert-warm", options.assert_warm)
-      .value("--threads", options.threads)
-      .value("--seed", options.seed)
-      .value("--store", options.store_dir)
-      .value("--journal", options.journal_path);
+  flags.on("--resume", campaign.resume)
+      .on("--smoke", command.smoke)
+      .on("--assert-warm", command.assert_warm)
+      .value("--threads", campaign.threads)
+      .value("--seed", campaign.campaign_seed)
+      .value("--store", campaign.store_dir)
+      .value("--journal", campaign.journal_path);
   flags.value("--count", [&](const std::string& v) {
-    options.count = util::unsigned_flag("--count", v, UINT64_MAX);
+    campaign.count = util::unsigned_flag("--count", v, UINT64_MAX);
     count_given = true;
   });
   flags.value("--job-timeout", [&](const std::string& v) {
-    options.job_timeout = util::double_flag("--job-timeout", v);
-    if (!(options.job_timeout > 0.0)) {
+    campaign.job_timeout_seconds = util::double_flag("--job-timeout", v);
+    if (!(campaign.job_timeout_seconds > 0.0)) {
       throw util::UsageError{
           "--job-timeout expects a positive number of seconds, got '" + v +
           "'"};
@@ -174,14 +163,10 @@ Options parse(int argc, char** argv) {
     if (slash == std::string::npos) {
       throw util::UsageError{"--shard expects I/N (e.g. --shard 0/2)"};
     }
-    options.shard_index =
+    campaign.shard_index =
         util::unsigned_flag("--shard", v.substr(0, slash), UINT64_MAX);
-    options.shard_count =
+    campaign.shard_count =
         util::unsigned_flag("--shard", v.substr(slash + 1), UINT64_MAX);
-    if (options.shard_count == 0 ||
-        options.shard_index >= options.shard_count) {
-      throw util::UsageError{"--shard " + v + ": need 0 <= I < N"};
-    }
   });
   flags.value("--tier", [&](const std::string& v) {
     const auto mode = tiers::parse_tier_mode(v);
@@ -189,74 +174,62 @@ Options parse(int argc, char** argv) {
       throw util::UsageError{"unknown --tier value '" + v +
                              "' (expected auto, analytic, or cycle)"};
     }
-    options.tier = *mode;
+    campaign.tier = *mode;
   });
   flags.value("--search", [&](const std::string& v) {
     if (v != "anneal") {
       throw util::UsageError{"unknown --search value '" + v +
                              "' (expected anneal)"};
     }
-    options.search = true;
+    campaign.search = true;
   });
   flags.value("--search-restarts", [&](const std::string& v) {
-    options.search_restarts = positive_u32("--search-restarts", v);
+    campaign.search_restarts = positive_u32("--search-restarts", v);
   });
   flags.value("--search-iterations", [&](const std::string& v) {
-    options.search_iterations = positive_u32("--search-iterations", v);
+    campaign.search_iterations = positive_u32("--search-iterations", v);
   });
   flags.value("--boards", [&](const std::string& v) {
-    options.boards = positive_u32("--boards", v);
+    campaign.space.max_boards = positive_u32("--boards", v);
   });
   flags.value("--board-topology", [&](const std::string& v) {
     if (v != "chain" && v != "ring" && v != "mesh") {
       throw util::UsageError{"unknown --board-topology value '" + v +
                              "' (expected chain, ring, or mesh)"};
     }
-    options.board_topology = v;
+    board_topology = v;
   });
   flags.parse_or_exit(argc, argv, [&] {
-    // Auto-mode escalation selection is global: neither a shard nor a
-    // resumed run can rank against estimates it never computed.
-    if (options.shard_count > 1 && options.tier == tiers::TierMode::kAuto) {
-      throw util::UsageError{
-          "--shard requires --tier=analytic or --tier=cycle"};
-    }
-    if (options.resume && options.journal_path.empty()) {
-      throw util::UsageError{"--resume requires --journal FILE"};
-    }
-    if (!options.journal_path.empty() &&
-        options.tier == tiers::TierMode::kAuto) {
-      throw util::UsageError{
-          "--journal requires --tier=analytic or --tier=cycle"};
+    if (const std::optional<std::string> error =
+            dse::options_error(campaign)) {
+      throw util::UsageError{*error};
     }
   });
-  if (options.smoke && !count_given) {
-    options.count = 32;
+  // A single-board sweep keeps the default topology list: it is part of
+  // the campaign fingerprint, so --board-topology alone changes no journal.
+  if (campaign.space.multi_board()) {
+    campaign.space.board_topologies = {board_topology};
   }
-  return options;
+  if (command.smoke) {
+    // CI smoke: keep the sweep cheap and skip shrinking (a shrink run
+    // re-executes the pipeline dozens of times).
+    campaign.space.max_kernels = 6;
+    campaign.max_shrinks = 0;
+    if (!count_given) {
+      campaign.count = 32;
+    }
+  }
+  campaign.stop_requested = &g_stop;
+  return command;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options options = parse(argc, argv);
+  Command command = parse(argc, argv);
+  const dse::CampaignOptions& campaign = command.campaign;
   util::install_stop_signals(g_stop);
 
-  dse::CampaignOptions campaign;
-  campaign.count = options.count;
-  campaign.campaign_seed = options.seed;
-  campaign.threads = options.threads;
-  campaign.tier = options.tier;
-  campaign.store_dir = options.store_dir;
-  campaign.shard_index = options.shard_index;
-  campaign.shard_count = options.shard_count;
-  campaign.journal_path = options.journal_path;
-  campaign.resume = options.resume;
-  campaign.job_timeout_seconds = options.job_timeout;
-  campaign.search = options.search;
-  campaign.search_restarts = options.search_restarts;
-  campaign.search_iterations = options.search_iterations;
-  campaign.stop_requested = &g_stop;
   // Test harness hook: HYBRIDIC_WEDGE_INDEX=N wedges design N forever,
   // exercising the watchdog/quarantine path from the real binary. The
   // abandoned thread sleeps until process exit.
@@ -267,22 +240,11 @@ int main(int argc, char** argv) {
                 << wedge_env << "'\n";
       return kExitUsage;
     }
-    campaign.job_started_hook = [wedge_index](std::uint64_t index) {
+    command.campaign.job_started_hook = [wedge_index](std::uint64_t index) {
       while (index == wedge_index) {
         std::this_thread::sleep_for(std::chrono::seconds(3600));
       }
     };
-  }
-  if (options.boards > 1) {
-    campaign.space.min_boards = 1;
-    campaign.space.max_boards = options.boards;
-    campaign.space.board_topologies = {options.board_topology};
-  }
-  if (options.smoke) {
-    // CI smoke: keep the sweep cheap and skip shrinking (a shrink run
-    // re-executes the pipeline dozens of times).
-    campaign.space.max_kernels = 6;
-    campaign.max_shrinks = 0;
   }
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -316,13 +278,13 @@ int main(int argc, char** argv) {
                     ? static_cast<double>(result.cases.size()) / elapsed
                     : 0.0)
             << " designs/s)\n";
-  if (options.shard_count > 1) {
-    std::cout << "shard " << options.shard_index << "/"
-              << options.shard_count << ": " << result.cases.size()
-              << " of " << options.count << " designs\n";
+  if (campaign.shard_count > 1) {
+    std::cout << "shard " << campaign.shard_index << "/"
+              << campaign.shard_count << ": " << result.cases.size()
+              << " of " << campaign.count << " designs\n";
   }
-  if (!options.journal_path.empty()) {
-    std::cout << "journal " << options.journal_path
+  if (!campaign.journal_path.empty()) {
+    std::cout << "journal " << campaign.journal_path
               << ": resumed=" << result.resumed_count
               << " quarantined=" << result.quarantined_count
               << " drained=" << result.skipped_count
@@ -350,7 +312,7 @@ int main(int argc, char** argv) {
               << " misses=" << ss.misses << " corrupt=" << ss.corrupt_entries
               << "\n";
   }
-  if (options.assert_warm) {
+  if (command.assert_warm) {
     if (!result.store_stats.has_value() ||
         result.store_stats->hits == 0) {
       std::cerr << "--assert-warm: the store served zero hits (expected a "
@@ -363,46 +325,27 @@ int main(int argc, char** argv) {
 
   // Shard runs suffix their CSV so N concurrent shards (sharing one
   // store) never clobber each other; the merge tool globs the suffix.
-  const auto shard_name = [&options](const std::string& base) {
-    if (options.shard_count <= 1) {
-      return base;
-    }
-    return base + ".shard" + std::to_string(options.shard_index) + "of" +
-           std::to_string(options.shard_count);
-  };
-
-  if (options.smoke) {
-    const std::string path = bench::csv_path(shard_name("dse_smoke"));
-    std::ofstream out{path};
-    out << dse::campaign_csv(result);
-    std::cout << "wrote " << path << " (" << result.cases.size()
-              << " designs, " << failures << " with failures)\n";
-    // Smoke skips oracle shrinking (max_shrinks 0) but still pins poison
-    // designs: quarantine reproducers bypass that budget.
-    const std::vector<std::string> saved = dse::save_reproducers(
-        result, "bench_results/dse_reproducers");
-    for (const std::string& p : saved) {
-      std::cout << "shrunk reproducer: " << p << "\n";
-    }
-  } else {
-    const std::string path = bench::csv_path(shard_name("dse_campaign"));
-    std::ofstream out{path};
-    out << dse::campaign_csv(result);
-    if (options.shard_count <= 1) {
-      bench::patch_report_section(dse::campaign_section_marker(),
-                                  dse::campaign_markdown(result, campaign));
-    }
-    const std::vector<std::string> saved = dse::save_reproducers(
-        result, "bench_results/dse_reproducers");
-    std::cout << "wrote " << path << " (" << result.cases.size()
-              << " designs, " << failures << " with failures)"
-              << (options.shard_count <= 1
-                      ? " and the REPORT.md campaign section"
-                      : "")
-              << "\n";
-    for (const std::string& p : saved) {
-      std::cout << "shrunk reproducer: " << p << "\n";
-    }
+  std::string name = command.smoke ? "dse_smoke" : "dse_campaign";
+  if (campaign.shard_count > 1) {
+    name += ".shard" + std::to_string(campaign.shard_index) + "of" +
+            std::to_string(campaign.shard_count);
+  }
+  const std::string path = bench::csv_path(name);
+  std::ofstream{path} << dse::campaign_csv(result);
+  const bool report = !command.smoke && campaign.shard_count <= 1;
+  if (report) {
+    bench::patch_report_section(dse::campaign_section_marker(),
+                                dse::campaign_markdown(result, campaign));
+  }
+  // Smoke skips oracle shrinking (max_shrinks 0) but still pins poison
+  // designs: quarantine reproducers bypass that budget.
+  const std::vector<std::string> saved =
+      dse::save_reproducers(result, "bench_results/dse_reproducers");
+  std::cout << "wrote " << path << " (" << result.cases.size() << " designs, "
+            << failures << " with failures)"
+            << (report ? " and the REPORT.md campaign section" : "") << "\n";
+  for (const std::string& p : saved) {
+    std::cout << "shrunk reproducer: " << p << "\n";
   }
   // Precedence: a drain outranks quarantine outranks oracle failures —
   // the caller must first learn the run is incomplete, then that some

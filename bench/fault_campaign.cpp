@@ -29,20 +29,6 @@ namespace {
 using namespace hybridic;
 using util::decimal17;
 
-struct CampaignOptions {
-  std::size_t threads = 0;
-  bool smoke = false;
-};
-
-CampaignOptions parse_campaign_options(int argc, char** argv) {
-  CampaignOptions options;
-  util::Flags{"[--threads N] [--smoke]"}
-      .value("--threads", options.threads)
-      .on("--smoke", options.smoke)
-      .parse_or_exit(argc, argv);
-  return options;
-}
-
 /// One campaign point: a full run of one variant under one fault scenario.
 struct CampaignRow {
   std::string app;
@@ -52,19 +38,6 @@ struct CampaignRow {
   double total_seconds = 0.0;
   faults::FaultStats stats;
 };
-
-/// All fault classes at one Bernoulli rate, recovery on.
-faults::FaultSpec spec_at_rate(double rate, std::uint64_t seed) {
-  faults::FaultSpec spec;
-  spec.seed = seed;
-  spec.flit_corruption_rate = rate;
-  spec.bus_error_rate = rate;
-  spec.bus_stall_rate = rate;
-  spec.sdram_bitflip_rate = rate;
-  spec.bram_bitflip_rate = rate;
-  spec.resilience.noc_crc = true;
-  return spec;
-}
 
 CampaignRow run_point(apps::ProfileCache& cache, const std::string& app_name,
                       const std::string& variant,
@@ -254,7 +227,7 @@ std::string smoke_json(const std::vector<CampaignRow>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CampaignOptions options = parse_campaign_options(argc, argv);
+  const bench::SweepArgs options = bench::parse_sweep_args(argc, argv);
   apps::ProfileCache cache;
   sys::BatchRunner runner{options.threads};
 
@@ -277,7 +250,8 @@ int main(int argc, char** argv) {
                             scenario + "/" + decimal17(rate);
     jobs.push_back({key, [&cache, app, variant, scenario,
                           rate](sys::JobContext& ctx) {
-                      faults::FaultSpec spec = spec_at_rate(rate, ctx.seed);
+                      faults::FaultSpec spec =
+                          faults::FaultSpec::at_rate(rate, ctx.seed);
                       if (scenario == "nocrc") {
                         spec.resilience.noc_crc = false;
                       }
@@ -297,22 +271,15 @@ int main(int argc, char** argv) {
       add_job(app, "designed", "linkdown", 0.0);
     }
   }
-  // Profile every distinct app concurrently up front: the job list above
-  // is app-major, so a cold cache would convoy the first N workers on one
-  // in-flight profile (see ProfileCache::convoy_waits()).
-  bench::prewarm_profiles(cache, runner, app_names);
-  const std::vector<CampaignRow> rows = runner.run(std::move(jobs));
+  const std::vector<CampaignRow> rows =
+      bench::run_prewarmed(cache, runner, app_names, std::move(jobs));
 
-  (void)bench::csv_path("dummy");  // ensure bench_results/ exists
   if (options.smoke) {
-    const std::string path = "bench_results/fault_smoke.json";
-    std::ofstream out{path};
-    out << smoke_json(rows);
+    const std::string path = bench::results_path("fault_smoke.json");
+    std::ofstream{path} << smoke_json(rows);
     std::cout << "wrote " << path << " (" << rows.size() << " points)\n";
   } else {
-    const std::string csv = campaign_csv(rows);
-    std::ofstream out{bench::csv_path("fault_campaign")};
-    out << csv;
+    std::ofstream{bench::csv_path("fault_campaign")} << campaign_csv(rows);
     bench::patch_report_section(kSectionMarker,
                                 campaign_markdown(rows, rates));
     std::cout << "wrote bench_results/fault_campaign.csv (" << rows.size()

@@ -44,20 +44,6 @@ namespace {
 using namespace hybridic;
 using util::decimal17;
 
-struct Options {
-  bool smoke = false;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency.
-};
-
-Options parse_options(int argc, char** argv) {
-  Options options;
-  util::Flags{"[--smoke] [--threads N]"}
-      .on("--smoke", options.smoke)
-      .value("--threads", options.threads)
-      .parse_or_exit(argc, argv);
-  return options;
-}
-
 struct Workload {
   std::string name;
   std::shared_ptr<const apps::ProfiledApp> app;
@@ -115,19 +101,7 @@ struct SweepRow {
   bool cycle_within_band = false;
 };
 
-bool records_identical(const search::SearchRecord& a,
-                       const search::SearchRecord& b) {
-  return a.solution_tag == b.solution_tag &&
-         a.analytic_seconds == b.analytic_seconds &&
-         a.algorithm1_analytic_seconds == b.algorithm1_analytic_seconds &&
-         a.luts == b.luts && a.algorithm1_luts == b.algorithm1_luts &&
-         a.gain == b.gain && a.best_restart == b.best_restart &&
-         a.proposed == b.proposed && a.accepted == b.accepted &&
-         a.rejected_illegal == b.rejected_illegal &&
-         a.cache_hits == b.cache_hits;
-}
-
-SweepRow sweep_one(const Workload& workload, const Options& options,
+SweepRow sweep_one(const Workload& workload, std::size_t threads,
                    std::uint32_t restarts, std::uint32_t iterations) {
   const sys::PlatformConfig platform;
   const sys::AppSchedule schedule = workload.app->schedule();
@@ -138,15 +112,14 @@ SweepRow sweep_one(const Workload& workload, const Options& options,
   sopt.iterations = iterations;
   sopt.cycle_validate = workload.cycle_validate;
 
-  // The determinism contract, proved in-bench: the same search at
-  // --threads 1 and --threads N must agree on every record field.
+  // The determinism contract, proved in-bench: the same search on one
+  // thread and on N >= 2 (--threads, or every core) must agree on every
+  // record field.
   sopt.threads = 1;
   const search::SearchResult serial =
       search::anneal_interconnect(schedule, input, platform, sopt);
-  sopt.threads = options.threads == 0
-                     ? std::max<std::size_t>(
-                           2, std::thread::hardware_concurrency())
-                     : options.threads;
+  sopt.threads = std::max<std::size_t>(
+      2, threads == 0 ? std::thread::hardware_concurrency() : threads);
   sopt.cycle_validate = false;  // Identity covers the search, not the sim.
   const search::SearchResult parallel =
       search::anneal_interconnect(schedule, input, platform, sopt);
@@ -155,7 +128,7 @@ SweepRow sweep_one(const Workload& workload, const Options& options,
   row.name = workload.name;
   row.record = serial.record();
   row.threads_identical =
-      records_identical(row.record, parallel.record()) &&
+      row.record == parallel.record() &&
       serial.best_vars == parallel.best_vars &&
       serial.incumbent_trace == parallel.incumbent_trace;
   row.dominates_or_matches =
@@ -174,7 +147,7 @@ SweepRow sweep_one(const Workload& workload, const Options& options,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options options = parse_options(argc, argv);
+  const bench::SweepArgs options = bench::parse_sweep_args(argc, argv);
   const std::uint32_t restarts = options.smoke ? 2 : 4;
   const std::uint32_t iterations = options.smoke ? 24 : 120;
 
@@ -193,7 +166,8 @@ int main(int argc, char** argv) {
   std::vector<SweepRow> rows;
   rows.reserve(workloads.size());
   for (const Workload& workload : workloads) {
-    rows.push_back(sweep_one(workload, options, restarts, iterations));
+    rows.push_back(
+        sweep_one(workload, options.threads, restarts, iterations));
     const SweepRow& row = rows.back();
     std::cout << row.name << ": alg1 "
               << row.record.algorithm1_analytic_seconds * 1e3

@@ -35,20 +35,6 @@ namespace {
 using namespace hybridic;
 using util::decimal17;
 
-struct SweepOptions {
-  std::size_t threads = 0;
-  bool smoke = false;
-};
-
-SweepOptions parse_sweep_options(int argc, char** argv) {
-  SweepOptions options;
-  util::Flags{"[--threads N] [--smoke]"}
-      .value("--threads", options.threads)
-      .on("--smoke", options.smoke)
-      .parse_or_exit(argc, argv);
-  return options;
-}
-
 /// One sweep point: an app on one (topology, board count), healthy links
 /// or one deterministic dead link.
 struct SweepRow {
@@ -184,7 +170,7 @@ std::string sweep_markdown(const std::vector<SweepRow>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const SweepOptions options = parse_sweep_options(argc, argv);
+  const bench::SweepArgs options = bench::parse_sweep_args(argc, argv);
   apps::ProfileCache cache;
   sys::BatchRunner runner{options.threads};
 
@@ -229,8 +215,8 @@ int main(int argc, char** argv) {
                       }});
     }
   }
-  bench::prewarm_profiles(cache, runner, app_names);
-  const std::vector<SweepRow> rows = runner.run(std::move(jobs));
+  const std::vector<SweepRow> rows =
+      bench::run_prewarmed(cache, runner, app_names, std::move(jobs));
 
   std::uint64_t violations = 0;
   for (const SweepRow& row : rows) {
@@ -242,10 +228,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string name = options.smoke ? "topology_smoke" : "topology_sweep";
-  {
-    std::ofstream out{bench::csv_path(name)};
-    out << sweep_csv(rows);
-  }
+  std::ofstream{bench::csv_path(name)} << sweep_csv(rows);
   if (!options.smoke) {
     bench::patch_report_section(kSectionMarker, sweep_markdown(rows));
   }

@@ -292,13 +292,8 @@ int run_cli(const CliOptions& cli) {
     require(cli.fault_rate > 0.0 && cli.fault_rate <= 1.0,
             "--fault-rate must be a probability in (0, 1], got " +
                 std::to_string(cli.fault_rate));
-    platform_config.faults.seed = cli.fault_seed;
-    platform_config.faults.flit_corruption_rate = cli.fault_rate;
-    platform_config.faults.bus_error_rate = cli.fault_rate;
-    platform_config.faults.bus_stall_rate = cli.fault_rate;
-    platform_config.faults.sdram_bitflip_rate = cli.fault_rate;
-    platform_config.faults.bram_bitflip_rate = cli.fault_rate;
-    platform_config.faults.resilience.noc_crc = true;
+    platform_config.faults =
+        faults::FaultSpec::at_rate(cli.fault_rate, cli.fault_seed);
   }
 
   const std::shared_ptr<const apps::ProfiledApp> app_ptr =

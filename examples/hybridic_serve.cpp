@@ -199,103 +199,94 @@ bool decode_request(const util::JsonObject& fields,
 }
 
 // ---------------------------------------------------------------------------
-// The design job itself. Runs on a watchdog thread when the request set
-// timeout_s, so it only touches state that outlives the request: the
-// evaluator and cache live in main() until process exit.
+// The request jobs. They run on a watchdog thread when the request set
+// timeout_s, so they only touch state that outlives the request: the
+// evaluator and cache live in main() until process exit. Each returns the
+// success body after the echoed id.
 
-ServeReply run_design(const Request& request,
-                      tiers::TieredEvaluator& evaluator,
-                      apps::ProfileCache& cache) {
-  ServeReply reply;
-  try {
-    std::ostringstream out;
-    out << "\"ok\":true,\"tier\":\"" << tiers::to_string(request.tier)
-        << "\"";
-    if (request.tier == tiers::TierMode::kCycle) {
-      const dse::DesignCase c = dse::run_design_case(request.config, &cache);
-      const tiers::TierEstimate estimate =
-          evaluator.estimate(c.schedule, c.exp.proposed_design);
-      out << ",\"solution\":\""
-          << json_escape(c.exp.proposed_design.solution_tag())
-          << "\",\"baseline_s\":" << decimal17(c.exp.baseline.total_seconds)
-          << ",\"designed_s\":" << decimal17(c.exp.proposed.total_seconds)
-          << ",\"crossbar_s\":" << decimal17(c.crossbar.total_seconds)
-          << ",\"pipelined_makespan_s\":"
-          << decimal17(c.pipelined.makespan_seconds)
-          << ",\"analytic_designed_s\":"
-          << decimal17(estimate.designed_kernel_seconds);
-    } else {
-      tiers::AnalyticCase analytic =
-          evaluator.analyze(request.config, &cache);
-      out << ",\"solution\":\""
-          << json_escape(analytic.proposed.solution_tag())
-          << "\",\"analytic_baseline_s\":"
-          << decimal17(analytic.estimate.baseline_kernel_seconds)
-          << ",\"analytic_designed_s\":"
-          << decimal17(analytic.estimate.designed_kernel_seconds)
-          << ",\"analytic_lo_s\":"
-          << decimal17(analytic.estimate.designed_lower_seconds)
-          << ",\"analytic_hi_s\":"
-          << decimal17(analytic.estimate.designed_upper_seconds);
-    }
-    out << "}";
-    reply.json = out.str();
-    reply.ok = true;
-  } catch (const store::StoreError& e) {
-    reply.json = error_body(kStore, e.what());
-  } catch (const SimTimeoutError& e) {
-    reply.json = error_body(kTimeout, e.what());
-  } catch (const ConfigError& e) {
-    reply.json = error_body(kConfig, e.what());
-  } catch (const std::exception& e) {
-    reply.json = error_body(kInternal, e.what());
+std::string design_body(const Request& request,
+                        tiers::TieredEvaluator& evaluator,
+                        apps::ProfileCache& cache) {
+  std::ostringstream out;
+  out << "\"ok\":true,\"tier\":\"" << tiers::to_string(request.tier) << "\"";
+  if (request.tier == tiers::TierMode::kCycle) {
+    const dse::DesignCase c = dse::run_design_case(request.config, &cache);
+    const tiers::TierEstimate estimate =
+        evaluator.estimate(c.schedule, c.exp.proposed_design);
+    out << ",\"solution\":\""
+        << json_escape(c.exp.proposed_design.solution_tag())
+        << "\",\"baseline_s\":" << decimal17(c.exp.baseline.total_seconds)
+        << ",\"designed_s\":" << decimal17(c.exp.proposed.total_seconds)
+        << ",\"crossbar_s\":" << decimal17(c.crossbar.total_seconds)
+        << ",\"pipelined_makespan_s\":"
+        << decimal17(c.pipelined.makespan_seconds)
+        << ",\"analytic_designed_s\":"
+        << decimal17(estimate.designed_kernel_seconds);
+  } else {
+    tiers::AnalyticCase analytic = evaluator.analyze(request.config, &cache);
+    out << ",\"solution\":\"" << json_escape(analytic.proposed.solution_tag())
+        << "\",\"analytic_baseline_s\":"
+        << decimal17(analytic.estimate.baseline_kernel_seconds)
+        << ",\"analytic_designed_s\":"
+        << decimal17(analytic.estimate.designed_kernel_seconds)
+        << ",\"analytic_lo_s\":"
+        << decimal17(analytic.estimate.designed_lower_seconds)
+        << ",\"analytic_hi_s\":"
+        << decimal17(analytic.estimate.designed_upper_seconds);
   }
-  return reply;
+  out << "}";
+  return out.str();
 }
 
 // The search job: seeded annealing over the configured app, always
 // seeded by (and compared against) Algorithm 1. tier=cycle adds the
 // end-of-run cycle-accurate check of the incumbent.
-ServeReply run_search(const Request& request,
-                      tiers::TieredEvaluator& evaluator,
-                      apps::ProfileCache& cache) {
+std::string search_body(const Request& request,
+                        tiers::TieredEvaluator& evaluator,
+                        apps::ProfileCache& cache) {
+  const tiers::AnalyticCase analytic =
+      evaluator.analyze(request.config, &cache);
+  const core::DesignInput input =
+      sys::make_design_input(analytic.schedule, evaluator.platform());
+  search::AnnealOptions sopt;
+  sopt.seed = request.config.seed;
+  sopt.restarts = request.search_restarts;
+  sopt.iterations = request.search_iterations;
+  sopt.calibration = evaluator.calibration();
+  sopt.cycle_validate = request.tier == tiers::TierMode::kCycle;
+  const search::SearchResult result = search::anneal_interconnect(
+      analytic.schedule, input, evaluator.platform(), sopt);
+  const search::SearchRecord record = result.record();
+  std::ostringstream out;
+  out << "\"ok\":true,\"tier\":\"" << tiers::to_string(request.tier)
+      << "\",\"solution\":\"" << json_escape(record.solution_tag)
+      << "\",\"searched_analytic_s\":" << decimal17(record.analytic_seconds)
+      << ",\"alg1_analytic_s\":"
+      << decimal17(record.algorithm1_analytic_seconds)
+      << ",\"searched_luts\":" << record.luts
+      << ",\"alg1_luts\":" << record.algorithm1_luts
+      << ",\"gain\":" << decimal17(record.gain)
+      << ",\"best_restart\":" << record.best_restart
+      << ",\"proposed\":" << record.proposed
+      << ",\"accepted\":" << record.accepted
+      << ",\"rejected_illegal\":" << record.rejected_illegal
+      << ",\"cache_hits\":" << record.cache_hits;
+  if (result.cycle.has_value()) {
+    out << ",\"cycle_s\":" << decimal17(result.cycle->measured_kernel_seconds)
+        << ",\"within_band\":"
+        << (result.cycle->within_band ? "true" : "false");
+  }
+  out << "}";
+  return out.str();
+}
+
+/// Run one design or search request, mapping its failure to the taxonomy.
+ServeReply serve(const Request& request, tiers::TieredEvaluator& evaluator,
+                 apps::ProfileCache& cache) {
   ServeReply reply;
   try {
-    const tiers::AnalyticCase analytic =
-        evaluator.analyze(request.config, &cache);
-    const core::DesignInput input =
-        sys::make_design_input(analytic.schedule, evaluator.platform());
-    search::AnnealOptions sopt;
-    sopt.seed = request.config.seed;
-    sopt.restarts = request.search_restarts;
-    sopt.iterations = request.search_iterations;
-    sopt.calibration = evaluator.calibration();
-    sopt.cycle_validate = request.tier == tiers::TierMode::kCycle;
-    const search::SearchResult result = search::anneal_interconnect(
-        analytic.schedule, input, evaluator.platform(), sopt);
-    const search::SearchRecord record = result.record();
-    std::ostringstream out;
-    out << "\"ok\":true,\"tier\":\"" << tiers::to_string(request.tier)
-        << "\",\"solution\":\"" << json_escape(record.solution_tag)
-        << "\",\"searched_analytic_s\":"
-        << decimal17(record.analytic_seconds) << ",\"alg1_analytic_s\":"
-        << decimal17(record.algorithm1_analytic_seconds)
-        << ",\"searched_luts\":" << record.luts
-        << ",\"alg1_luts\":" << record.algorithm1_luts
-        << ",\"gain\":" << decimal17(record.gain)
-        << ",\"best_restart\":" << record.best_restart
-        << ",\"proposed\":" << record.proposed
-        << ",\"accepted\":" << record.accepted
-        << ",\"rejected_illegal\":" << record.rejected_illegal
-        << ",\"cache_hits\":" << record.cache_hits;
-    if (result.cycle.has_value()) {
-      out << ",\"cycle_s\":"
-          << decimal17(result.cycle->measured_kernel_seconds)
-          << ",\"within_band\":"
-          << (result.cycle->within_band ? "true" : "false");
-    }
-    out << "}";
-    reply.json = out.str();
+    reply.json = request.search ? search_body(request, evaluator, cache)
+                                : design_body(request, evaluator, cache);
     reply.ok = true;
   } catch (const store::StoreError& e) {
     reply.json = error_body(kStore, e.what());
@@ -365,20 +356,15 @@ int main(int argc, char** argv) {
     // quarantined), never joined.
     const auto body = [&evaluator, &cache,
                        request](sys::JobContext&) -> ServeReply {
-      return request.search ? run_search(request, evaluator, cache)
-                            : run_design(request, evaluator, cache);
+      return serve(request, evaluator, cache);
     };
-    sys::detail::AttemptOutcome<ServeReply> outcome;
-    if (request.timeout_seconds > 0.0) {
-      sys::JobContext context{request.id, sys::job_seed(request.id),
-                              Rng{sys::job_seed(request.id)}, 0};
-      outcome = sys::detail::attempt_with_watchdog<ServeReply>(
-          body, std::move(context), nullptr, request.timeout_seconds);
-    } else {
-      sys::JobContext context{request.id, sys::job_seed(request.id),
-                              Rng{sys::job_seed(request.id)}, 0};
-      outcome = sys::detail::run_attempt<ServeReply>(body, context, nullptr);
-    }
+    sys::JobContext context{request.id, sys::job_seed(request.id),
+                            Rng{sys::job_seed(request.id)}, 0};
+    const sys::detail::AttemptOutcome<ServeReply> outcome =
+        request.timeout_seconds > 0.0
+            ? sys::detail::attempt_with_watchdog<ServeReply>(
+                  body, std::move(context), nullptr, request.timeout_seconds)
+            : sys::detail::run_attempt<ServeReply>(body, context, nullptr);
 
     std::string tail;
     switch (outcome.status) {

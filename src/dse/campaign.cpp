@@ -49,14 +49,34 @@ std::string csv_safe(std::string text) {
   return text;
 }
 
-std::uint64_t effective_rank_cap(const CampaignOptions& options) {
-  if (options.max_rank_escalations != 0) {
-    return options.max_rank_escalations;
+/// The simulation-free oracles' verdicts on `c`, in library order; the
+/// board oracle joins when the case carries a multi-board design.
+std::vector<OracleResult> sim_free_verdicts(const DesignCase& c,
+                                            const OracleBounds& bounds) {
+  std::vector<OracleResult> verdicts;
+  for (const Oracle& oracle :
+       oracle_library(bounds, c.multi_design != nullptr)) {
+    if (!oracle.needs_cycle) {
+      verdicts.push_back(oracle.check(c));
+    }
   }
-  // 2% of the sweep: escalated designs skew expensive to simulate (the
-  // lowest analytic lower bounds are the high-volume, high-savings
-  // candidates), so a wider cap erodes the tier speedup quickly.
-  return std::max<std::uint64_t>(4, options.count / 50);
+  return verdicts;
+}
+
+/// A case without simulated runs: profile, schedule and one design — all
+/// the sim-free oracles read. The graph pointer stays valid across the
+/// moves (the profiler that owns it is held by the shared ProfiledApp).
+DesignCase sim_free_case(const apps::SyntheticConfig& config,
+                         std::shared_ptr<const apps::ProfiledApp> app,
+                         sys::AppSchedule schedule,
+                         core::DesignResult proposed, double theta) {
+  DesignCase c;
+  c.config = config;
+  c.app = std::move(app);
+  c.schedule = std::move(schedule);
+  c.exp.proposed_design = std::move(proposed);
+  c.theta_seconds_per_byte = theta;
+  return c;
 }
 
 /// Run the annealed search for one settled case and attach its record.
@@ -83,17 +103,10 @@ void attach_search(CaseOutcome& outcome, const DesignCase& c,
             search::default_gate(schedule, design)) {
       return invalid;
     }
-    DesignCase candidate;
-    candidate.config = c.config;
-    candidate.app = c.app;
-    candidate.schedule = schedule;
-    candidate.exp.proposed_design = design;
-    candidate.theta_seconds_per_byte = c.theta_seconds_per_byte;
-    for (const Oracle& oracle : oracle_library(options.bounds, false)) {
-      if (oracle.needs_cycle) {
-        continue;
-      }
-      const OracleResult verdict = oracle.check(candidate);
+    for (const OracleResult& verdict : sim_free_verdicts(
+             sim_free_case(c.config, c.app, schedule, design,
+                           c.theta_seconds_per_byte),
+             options.bounds)) {
       if (!verdict.pass) {
         return verdict.oracle + ": " + verdict.message;
       }
@@ -107,46 +120,98 @@ void attach_search(CaseOutcome& outcome, const DesignCase& c,
           .record();
 }
 
-/// One full cycle-accurate evaluation (the pre-tier job body), plus the
-/// tier record: the analytic estimate is attached from the case's own
-/// schedule and design — no second profiling run — so every simulated row
-/// carries a band check.
-CaseOutcome run_cycle_outcome(std::uint64_t index,
-                              const CampaignOptions& options,
-                              tiers::TieredEvaluator& evaluator,
-                              apps::ProfileCache* cache,
-                              tiers::EscalationReason reason) {
+/// A row's identity: its index and the config sampled for it.
+CaseOutcome new_row(std::uint64_t index, const CampaignOptions& options) {
   CaseOutcome outcome;
   outcome.index = index;
   outcome.config = sample_config(options.space, options.campaign_seed, index);
+  return outcome;
+}
+
+/// The job and journal key of a row. Cycle rows share one key whether
+/// cycle mode or an auto-mode escalation asked for them: escalated rows
+/// replay the identical RNG stream, so their CSV rows match a pure
+/// --tier=cycle campaign byte for byte.
+std::string job_key(std::uint64_t campaign_seed, std::uint64_t index,
+                    tiers::EscalationReason reason) {
+  return (reason == tiers::EscalationReason::kNone ? "tier/" : "dse/") +
+         std::to_string(campaign_seed) + "/" + std::to_string(index);
+}
+
+/// Everything a job body touches, heap-held behind one shared_ptr: a
+/// watchdog-abandoned attempt may outlive run_campaign's frame, so job
+/// closures capture this by value and never reference the stack.
+struct CampaignState {
+  CampaignOptions options;
+  tiers::TieredEvaluator evaluator;
+  apps::ProfileCache profile_cache;
+  std::shared_ptr<store::Store> disk;
+};
+
+/// The job body of every tier. Escalation reason kNone is the analytic
+/// tier: profile + Algorithm 1 + estimate + the sim-free oracles, never an
+/// event queue. Any other reason is one full cycle-accurate evaluation
+/// (all five variants, every oracle) plus the tier record: the analytic
+/// estimate comes from the case's own schedule and design — no second
+/// profiling run — so every simulated row carries a band check.
+CaseOutcome run_case(std::uint64_t index, CampaignState& s,
+                     tiers::EscalationReason reason) {
+  const CampaignOptions& options = s.options;
+  CaseOutcome outcome = new_row(index, options);
   outcome.escalation = reason;
-  outcome.simulated = true;  ///< The cycle engine owns this row (even on
-                             ///< error, so auto rows mirror cycle rows).
+  // The cycle engine owns an escalated row even on error, so auto rows
+  // mirror cycle rows.
+  outcome.simulated = reason != tiers::EscalationReason::kNone;
   try {
     if (options.job_started_hook) {
       options.job_started_hook(index);
     }
-    const DesignCase c = run_design_case(outcome.config, cache);
-    outcome.solution_tag = c.exp.proposed_design.solution_tag();
-    outcome.baseline_seconds = c.exp.baseline.total_seconds;
-    outcome.designed_seconds = c.exp.proposed.total_seconds;
-    outcome.crossbar_seconds = c.crossbar.total_seconds;
-    outcome.pipelined_makespan_seconds = c.pipelined.makespan_seconds;
-    outcome.oracles = run_all_oracles(c, options.bounds);
-    if (c.multi_run != nullptr) {
-      outcome.multi_total_seconds = c.multi_run->run.total_seconds;
-      outcome.inter_board_bytes = c.multi_run->inter_board_bytes;
-      outcome.board_link_reroutes = c.multi_run->board_link_reroutes;
+    DesignCase c;
+    if (outcome.simulated) {
+      c = run_design_case(outcome.config, &s.profile_cache);
+      outcome.solution_tag = c.exp.proposed_design.solution_tag();
+      outcome.baseline_seconds = c.exp.baseline.total_seconds;
+      outcome.designed_seconds = c.exp.proposed.total_seconds;
+      outcome.crossbar_seconds = c.crossbar.total_seconds;
+      outcome.pipelined_makespan_seconds = c.pipelined.makespan_seconds;
+      outcome.oracles = run_all_oracles(c, options.bounds);
+      if (c.multi_run != nullptr) {
+        outcome.multi_total_seconds = c.multi_run->run.total_seconds;
+        outcome.inter_board_bytes = c.multi_run->inter_board_bytes;
+        outcome.board_link_reroutes = c.multi_run->board_link_reroutes;
+      }
+      if (c.multi_design != nullptr) {
+        outcome.cut_bytes = c.multi_design->partition.cut_bytes.count();
+      }
+      outcome.analytic =
+          s.evaluator.estimate(c.schedule, c.exp.proposed_design);
+      outcome.measured_designed_kernel_seconds =
+          c.exp.proposed.kernel_seconds();
+      outcome.band_violation = !outcome.analytic->contains_designed(
+          outcome.measured_designed_kernel_seconds);
+    } else {
+      tiers::AnalyticCase analytic =
+          s.evaluator.analyze(outcome.config, &s.profile_cache);
+      outcome.solution_tag = analytic.proposed.solution_tag();
+      outcome.analytic = analytic.estimate;
+      c = sim_free_case(outcome.config, std::move(analytic.app),
+                        std::move(analytic.schedule),
+                        std::move(analytic.proposed),
+                        analytic.theta_seconds_per_byte);
+      c.exp.noc_only_design = std::move(analytic.noc_only);
+      if (outcome.config.board_count > 1) {
+        // The two-level partition + per-board designs are sim-free, so the
+        // analytic tier can run the board-conservation oracle too.
+        core::MultiBoardDesignInput input;
+        input.base =
+            sys::make_design_input(c.schedule, sys::PlatformConfig{});
+        input.board_count = outcome.config.board_count;
+        c.multi_design = std::make_shared<const core::MultiBoardDesign>(
+            core::design_multi_board(input));
+        outcome.cut_bytes = c.multi_design->partition.cut_bytes.count();
+      }
+      outcome.oracles = sim_free_verdicts(c, options.bounds);
     }
-    if (c.multi_design != nullptr) {
-      outcome.cut_bytes = c.multi_design->partition.cut_bytes.count();
-    }
-    outcome.analytic =
-        evaluator.estimate(c.schedule, c.exp.proposed_design);
-    outcome.measured_designed_kernel_seconds =
-        c.exp.proposed.kernel_seconds();
-    outcome.band_violation = !outcome.analytic->contains_designed(
-        outcome.measured_designed_kernel_seconds);
     if (options.search) {
       attach_search(outcome, c, options);
     }
@@ -154,61 +219,6 @@ CaseOutcome run_cycle_outcome(std::uint64_t index,
     // Transient by classification (a flaky filesystem, not a property of
     // the design): propagate so the supervisor can retry with backoff.
     throw;
-  } catch (const std::exception& e) {
-    outcome.error = e.what();
-  }
-  return outcome;
-}
-
-/// The analytic-tier job body: profile + Algorithm 1 + estimate + the
-/// sim-free oracles, never an event queue.
-CaseOutcome run_analytic_outcome(std::uint64_t index,
-                                 const CampaignOptions& options,
-                                 tiers::TieredEvaluator& evaluator,
-                                 apps::ProfileCache* cache) {
-  CaseOutcome outcome;
-  outcome.index = index;
-  outcome.config = sample_config(options.space, options.campaign_seed, index);
-  try {
-    if (options.job_started_hook) {
-      options.job_started_hook(index);
-    }
-    tiers::AnalyticCase analytic = evaluator.analyze(outcome.config, cache);
-    outcome.solution_tag = analytic.proposed.solution_tag();
-    outcome.analytic = analytic.estimate;
-
-    // Sim-free oracles run on a partial case: schedule + designs only.
-    // The graph pointer stays valid across the moves (the profiler that
-    // owns it is held by the shared ProfiledApp).
-    DesignCase c;
-    c.config = outcome.config;
-    c.app = std::move(analytic.app);
-    c.schedule = std::move(analytic.schedule);
-    c.exp.proposed_design = std::move(analytic.proposed);
-    c.exp.noc_only_design = std::move(analytic.noc_only);
-    c.theta_seconds_per_byte = analytic.theta_seconds_per_byte;
-    if (outcome.config.board_count > 1) {
-      // The two-level partition + per-board designs are sim-free, so the
-      // analytic tier can run the board-conservation oracle too.
-      core::MultiBoardDesignInput input;
-      input.base =
-          sys::make_design_input(c.schedule, sys::PlatformConfig{});
-      input.board_count = outcome.config.board_count;
-      c.multi_design = std::make_shared<const core::MultiBoardDesign>(
-          core::design_multi_board(input));
-      outcome.cut_bytes = c.multi_design->partition.cut_bytes.count();
-    }
-    for (const Oracle& oracle :
-         oracle_library(options.bounds, c.multi_design != nullptr)) {
-      if (!oracle.needs_cycle) {
-        outcome.oracles.push_back(oracle.check(c));
-      }
-    }
-    if (options.search) {
-      attach_search(outcome, c, options);
-    }
-  } catch (const store::StoreError&) {
-    throw;  // Transient: the supervisor retries with backoff.
   } catch (const std::exception& e) {
     outcome.error = e.what();
   }
@@ -225,9 +235,12 @@ void finalize_tier_record(CampaignResult& result,
   for (CaseOutcome& outcome : result.cases) {
     outcome.profile_key = profile_key_of(outcome.config);
     outcome.profile_reused = !seen_profiles.insert(outcome.profile_key).second;
-    if (outcome.profile_reused) {
-      ++stats.reused_profiles;
-    }
+    stats.reused_profiles += outcome.profile_reused ? 1 : 0;
+    stats.cycle_evals += outcome.simulated ? 1 : 0;
+    stats.escalated_rank +=
+        outcome.escalation == tiers::EscalationReason::kRankOverlap ? 1 : 0;
+    stats.escalated_oracle +=
+        outcome.escalation == tiers::EscalationReason::kOracle ? 1 : 0;
   }
   stats.distinct_profiles = seen_profiles.size();
   std::set<std::uint64_t> seen_keys;
@@ -259,86 +272,55 @@ void finalize_tier_record(CampaignResult& result,
     }
   }
   stats.distinct_signatures = seen_keys.size();
-  for (const CaseOutcome& outcome : result.cases) {
-    if (outcome.simulated) {
-      ++stats.cycle_evals;
-    }
-    if (outcome.escalation == tiers::EscalationReason::kRankOverlap) {
-      ++stats.escalated_rank;
-    }
-    if (outcome.escalation == tiers::EscalationReason::kOracle) {
-      ++stats.escalated_oracle;
-    }
+}
+
+/// The row of a settled job. A job without a verdict of its own gets a
+/// deterministic row: config fields only, a stable note (no measured
+/// times), no verdicts — so a wedged-then-resumed campaign and an
+/// uninterrupted one print the identical row. A poison job (watchdog
+/// expired, or crashed past its retries) is quarantined; a job a drain
+/// stopped before it started is skipped.
+CaseOutcome settled_row(std::uint64_t index, const CampaignOptions& options,
+                        sys::SupervisedResult<CaseOutcome> settled) {
+  if (settled.status == sys::JobStatus::kOk) {
+    return std::move(*settled.value);
   }
-}
-
-/// Deterministic row for a poison job: config fields only, a stable
-/// "quarantined: ..." note (no measured times), no verdicts — so a
-/// wedged-then-resumed campaign and an uninterrupted one print the
-/// identical row.
-CaseOutcome quarantine_outcome(std::uint64_t index,
-                               const CampaignOptions& options,
-                               const std::string& error) {
-  CaseOutcome outcome;
-  outcome.index = index;
-  outcome.config = sample_config(options.space, options.campaign_seed, index);
-  outcome.quarantined = true;
-  outcome.error = "quarantined: " + error;
+  CaseOutcome outcome = new_row(index, options);
+  outcome.skipped = settled.status == sys::JobStatus::kSkipped;
+  outcome.quarantined = !outcome.skipped;
+  outcome.error = outcome.skipped ? "skipped: interrupted before start"
+                                  : "quarantined: " + settled.error;
   return outcome;
 }
 
-CaseOutcome skipped_outcome(std::uint64_t index,
-                            const CampaignOptions& options) {
-  CaseOutcome outcome;
-  outcome.index = index;
-  outcome.config = sample_config(options.space, options.campaign_seed, index);
-  outcome.skipped = true;
-  outcome.error = "skipped: interrupted before start";
-  return outcome;
-}
-
-/// Everything a job body touches, heap-held behind one shared_ptr: a
-/// watchdog-abandoned attempt may outlive run_campaign's frame, so job
-/// closures capture this by value and never reference the stack.
-struct CampaignState {
-  CampaignOptions options;
-  tiers::TieredEvaluator evaluator;
-  apps::ProfileCache profile_cache;
-  std::shared_ptr<store::Store> disk;
-};
-
-using CaseBody = std::function<CaseOutcome(
-    const std::shared_ptr<CampaignState>&, std::uint64_t)>;
-
-/// One supervised batch over `indices`: restored rows come straight from
-/// the journal replay, live rows run under the watchdog/retry/stop-gate
-/// supervisor, and every settled row (ok or quarantined) is journaled the
-/// moment it finishes — a SIGKILL loses at most the in-flight jobs.
+/// One supervised batch: row `indices[i]` runs at escalation `reasons[i]`.
+/// Restored rows come straight from the journal replay, live rows run
+/// under the watchdog/retry/stop-gate supervisor, and every settled row
+/// (ok or quarantined) is journaled the moment it finishes — a SIGKILL
+/// loses at most the in-flight jobs.
 std::vector<CaseOutcome> run_case_batch(
     sys::BatchRunner& runner, const std::shared_ptr<CampaignState>& state,
     const std::vector<std::uint64_t>& indices,
-    const std::function<std::string(std::uint64_t)>& key_of,
-    const CaseBody& body,
+    const std::vector<tiers::EscalationReason>& reasons,
     const std::map<std::string, CaseOutcome>& restored,
     store::Journal* journal, const std::string& fingerprint,
     CampaignResult& result) {
+  const CampaignOptions& options = state->options;
+  std::vector<std::string> keys;
   std::vector<CaseOutcome> outcomes(indices.size());
-  std::vector<std::uint64_t> live;
-  std::vector<std::size_t> live_slot;
+  std::vector<std::size_t> live;  ///< Slots of the rows that must run.
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    const std::uint64_t index = indices[i];
-    const auto it = restored.find(key_of(index));
-    if (it != restored.end()) {
-      CaseOutcome outcome = it->second;
-      outcome.resumed = true;
-      ++result.resumed_count;
-      if (outcome.quarantined) {
-        ++result.quarantined_count;
-      }
-      outcomes[i] = std::move(outcome);
-    } else {
-      live.push_back(index);
-      live_slot.push_back(i);
+    keys.push_back(job_key(options.campaign_seed, indices[i], reasons[i]));
+    const auto it = restored.find(keys.back());
+    if (it == restored.end()) {
+      live.push_back(i);
+      continue;
+    }
+    outcomes[i] = it->second;
+    outcomes[i].resumed = true;
+    ++result.resumed_count;
+    if (outcomes[i].quarantined) {
+      ++result.quarantined_count;
     }
   }
   if (live.empty()) {
@@ -346,57 +328,46 @@ std::vector<CaseOutcome> run_case_batch(
   }
 
   sys::SuperviseOptions supervise;
-  supervise.job_timeout_seconds = state->options.job_timeout_seconds;
-  supervise.transient_retries = state->options.transient_retries;
-  supervise.backoff_initial_seconds = state->options.backoff_initial_seconds;
+  supervise.job_timeout_seconds = options.job_timeout_seconds;
+  supervise.transient_retries = options.transient_retries;
+  supervise.backoff_initial_seconds = options.backoff_initial_seconds;
   supervise.is_transient = [](const std::exception& e) {
     return dynamic_cast<const store::StoreError*>(&e) != nullptr;
   };
-  supervise.stop_requested = state->options.stop_requested;
+  supervise.stop_requested = options.stop_requested;
 
   std::vector<sys::BatchRunner::Job<CaseOutcome>> jobs;
   jobs.reserve(live.size());
-  for (const std::uint64_t index : live) {
+  for (const std::size_t i : live) {
     // Value captures only: an abandoned attempt thread keeps its own
-    // shared_ptr to the campaign state and its own copy of the body.
-    jobs.push_back({key_of(index), [state, body, index](sys::JobContext&) {
-                      return body(state, index);
+    // shared_ptr to the campaign state.
+    jobs.push_back({keys[i], [state, index = indices[i],
+                              reason = reasons[i]](sys::JobContext&) {
+                      return run_case(index, *state, reason);
                     }});
   }
 
-  const auto on_settled =
-      [&live, &state, journal, &fingerprint, &key_of](
-          std::size_t slot, const sys::SupervisedResult<CaseOutcome>& r) {
-        if (journal == nullptr || r.status == sys::JobStatus::kSkipped) {
-          return;  // Skipped jobs are NOT journaled: a resume re-runs them.
-        }
-        const std::uint64_t index = live[slot];
-        const CaseOutcome outcome =
-            r.status == sys::JobStatus::kOk
-                ? *r.value
-                : quarantine_outcome(index, state->options, r.error);
-        journal->append(fingerprint, key_of(index), encode_outcome(outcome));
-      };
+  const auto on_settled = [&](std::size_t slot,
+                              const sys::SupervisedResult<CaseOutcome>& r) {
+    if (journal == nullptr || r.status == sys::JobStatus::kSkipped) {
+      return;  // Skipped jobs are NOT journaled: a resume re-runs them.
+    }
+    const std::size_t i = live[slot];
+    journal->append(fingerprint, keys[i],
+                    encode_outcome(settled_row(indices[i], options, r)));
+  };
 
   std::vector<sys::SupervisedResult<CaseOutcome>> slots =
       runner.run_supervised(std::move(jobs), supervise, on_settled);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    sys::SupervisedResult<CaseOutcome>& slot = slots[i];
-    CaseOutcome& outcome = outcomes[live_slot[i]];
-    switch (slot.status) {
-      case sys::JobStatus::kOk:
-        outcome = std::move(*slot.value);
-        break;
-      case sys::JobStatus::kTimeout:
-      case sys::JobStatus::kCrashed:
-        outcome = quarantine_outcome(live[i], state->options, slot.error);
-        ++result.quarantined_count;
-        break;
-      case sys::JobStatus::kSkipped:
-        outcome = skipped_outcome(live[i], state->options);
-        ++result.skipped_count;
-        result.interrupted = true;
-        break;
+  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+    const std::size_t i = live[slot];
+    outcomes[i] = settled_row(indices[i], options, std::move(slots[slot]));
+    if (outcomes[i].quarantined) {
+      ++result.quarantined_count;
+    }
+    if (outcomes[i].skipped) {
+      ++result.skipped_count;
+      result.interrupted = true;
     }
   }
   return outcomes;
@@ -495,23 +466,12 @@ bool CaseOutcome::all_pass() const {
                      [](const OracleResult& r) { return r.pass; });
 }
 
-std::uint64_t CampaignResult::pass_count(const std::string& oracle) const {
+std::uint64_t CampaignResult::verdict_count(const std::string& oracle,
+                                            bool pass) const {
   std::uint64_t n = 0;
   for (const CaseOutcome& c : cases) {
     for (const OracleResult& r : c.oracles) {
-      if (r.oracle == oracle && r.pass) {
-        ++n;
-      }
-    }
-  }
-  return n;
-}
-
-std::uint64_t CampaignResult::fail_count(const std::string& oracle) const {
-  std::uint64_t n = 0;
-  for (const CaseOutcome& c : cases) {
-    for (const OracleResult& r : c.oracles) {
-      if (r.oracle == oracle && !r.pass) {
+      if (r.oracle == oracle && r.pass == pass) {
         ++n;
       }
     }
@@ -529,25 +489,35 @@ std::uint64_t CampaignResult::error_count() const {
   return n;
 }
 
-CampaignResult run_campaign(const CampaignOptions& options) {
-  require(options.shard_count >= 1, "shard count must be >= 1");
-  require(options.shard_index < options.shard_count,
-          "shard index must be < shard count");
-  // Auto-tier escalation ranks every estimate against every other; a
+std::optional<std::string> options_error(const CampaignOptions& options) {
+  if (options.shard_index >= options.shard_count) {
+    return "--shard " + std::to_string(options.shard_index) + "/" +
+           std::to_string(options.shard_count) + ": need 0 <= I < N";
+  }
+  // Auto-tier escalation ranks every estimate against every other. A
   // shard only holds its own, so the selection (and thus the merged CSV)
-  // would differ from an unsharded run. Shard analytic or cycle sweeps.
-  require(options.shard_count == 1 || options.tier != tiers::TierMode::kAuto,
-          "--shard requires --tier=analytic or --tier=cycle: auto-mode "
-          "escalation selection is global");
-  // Journaling keys one ledger record per job; auto mode re-decides the
-  // escalation set globally on every run, so a partial ledger could not
-  // reproduce it. Same restriction (and reason) as sharding.
-  require(options.journal_path.empty() ||
-              options.tier != tiers::TierMode::kAuto,
-          "--journal requires --tier=analytic or --tier=cycle: auto-mode "
-          "escalation selection is global");
-  require(!options.resume || !options.journal_path.empty(),
-          "--resume requires --journal");
+  // would differ from an unsharded run; a journal keys one ledger record
+  // per job, so a partial ledger could not reproduce it either.
+  if (options.tier == tiers::TierMode::kAuto) {
+    if (options.shard_count > 1) {
+      return "--shard requires --tier=analytic or --tier=cycle: auto-mode "
+             "escalation selection is global";
+    }
+    if (!options.journal_path.empty()) {
+      return "--journal requires --tier=analytic or --tier=cycle: "
+             "auto-mode escalation selection is global";
+    }
+  }
+  if (options.resume && options.journal_path.empty()) {
+    return "--resume requires --journal";
+  }
+  return std::nullopt;
+}
+
+CampaignResult run_campaign(const CampaignOptions& options) {
+  if (const std::optional<std::string> error = options_error(options)) {
+    throw ConfigError{*error};
+  }
 
   CampaignResult result;
   result.multi_board = options.space.multi_board();
@@ -619,105 +589,56 @@ CampaignResult run_campaign(const CampaignOptions& options) {
     journal = std::make_unique<store::Journal>(options.journal_path);
   }
 
-  const std::uint64_t campaign_seed = options.campaign_seed;
-  const std::function<std::string(std::uint64_t)> cycle_key =
-      [campaign_seed](std::uint64_t index) {
-        // The same key in cycle mode and for auto-mode escalations:
-        // escalated rows replay the identical RNG stream, so their CSV
-        // rows match a pure --tier=cycle campaign byte for byte.
-        return "dse/" + std::to_string(campaign_seed) + "/" +
-               std::to_string(index);
-      };
-  const std::function<std::string(std::uint64_t)> tier_key =
-      [campaign_seed](std::uint64_t index) {
-        return "tier/" + std::to_string(campaign_seed) + "/" +
-               std::to_string(index);
-      };
+  // Phase 1: every owned design point at the requested tier; auto mode
+  // starts analytic.
+  result.cases = run_case_batch(
+      runner, state, owned,
+      std::vector<tiers::EscalationReason>(
+          owned.size(), options.tier == tiers::TierMode::kCycle
+                            ? tiers::EscalationReason::kRequested
+                            : tiers::EscalationReason::kNone),
+      restored, journal.get(), fingerprint, result);
 
-  if (options.tier == tiers::TierMode::kCycle) {
-    const CaseBody body = [](const std::shared_ptr<CampaignState>& s,
-                             std::uint64_t index) {
-      return run_cycle_outcome(index, s->options, s->evaluator,
-                               &s->profile_cache,
-                               tiers::EscalationReason::kRequested);
-    };
-    result.cases = run_case_batch(runner, state, owned, cycle_key, body,
-                                  restored, journal.get(), fingerprint,
-                                  result);
-  } else {
-    // Phase 1: the analytic tier over every owned design point.
-    const CaseBody body = [](const std::shared_ptr<CampaignState>& s,
-                             std::uint64_t index) {
-      return run_analytic_outcome(index, s->options, s->evaluator,
-                                  &s->profile_cache);
-    };
-    result.cases = run_case_batch(runner, state, owned, tier_key, body,
-                                  restored, journal.get(), fingerprint,
-                                  result);
+  // Phase 2 (serial, auto mode): pick the designs that must climb to the
+  // cycle tier — sim-free oracle failures and ranked contenders.
+  if (options.tier == tiers::TierMode::kAuto) {
+    std::vector<const tiers::TierEstimate*> estimates;
+    std::vector<bool> oracle_demands;
+    estimates.reserve(result.cases.size());
+    oracle_demands.reserve(result.cases.size());
+    for (const CaseOutcome& outcome : result.cases) {
+      estimates.push_back(outcome.analytic.has_value() ? &*outcome.analytic
+                                                       : nullptr);
+      oracle_demands.push_back(
+          std::any_of(outcome.oracles.begin(), outcome.oracles.end(),
+                      [](const OracleResult& r) { return !r.pass; }));
+    }
+    // 2% of the sweep: escalated designs skew expensive to simulate (the
+    // lowest analytic lower bounds are the high-volume, high-savings
+    // candidates), so a wider cap erodes the tier speedup quickly.
+    TierStats& stats = result.tier_stats;
+    stats.rank_cap = std::max<std::uint64_t>(4, options.count / 50);
+    const std::vector<tiers::EscalationReason> reasons =
+        tiers::select_escalations(estimates, oracle_demands, stats.rank_cap,
+                                  &stats.rank_contenders);
 
-    // Phase 2 (serial): pick the designs that must climb to the cycle
-    // tier — sim-free oracle failures and ranked contenders.
-    if (options.tier == tiers::TierMode::kAuto) {
-      std::vector<const tiers::TierEstimate*> estimates;
-      std::vector<bool> oracle_demands;
-      estimates.reserve(result.cases.size());
-      oracle_demands.reserve(result.cases.size());
-      for (const CaseOutcome& outcome : result.cases) {
-        estimates.push_back(outcome.analytic.has_value()
-                                ? &*outcome.analytic
-                                : nullptr);
-        bool demand = false;
-        for (const OracleResult& r : outcome.oracles) {
-          demand = demand || !r.pass;
-        }
-        oracle_demands.push_back(demand);
+    // Phase 3: cycle-accurate evaluation of the escalated designs.
+    std::vector<std::uint64_t> escalated;
+    std::vector<tiers::EscalationReason> escalated_reasons;
+    for (std::uint64_t index = 0; index < reasons.size(); ++index) {
+      if (reasons[index] != tiers::EscalationReason::kNone) {
+        escalated.push_back(index);
+        escalated_reasons.push_back(reasons[index]);
       }
-      const std::uint64_t cap = effective_rank_cap(options);
-      result.tier_stats.rank_cap = cap;
-      double best_upper = 0.0;
-      bool have_upper = false;
-      for (const tiers::TierEstimate* estimate : estimates) {
-        if (estimate != nullptr &&
-            (!have_upper ||
-             estimate->designed_upper_seconds < best_upper)) {
-          best_upper = estimate->designed_upper_seconds;
-          have_upper = true;
-        }
+    }
+    std::vector<CaseOutcome> escalated_outcomes =
+        run_case_batch(runner, state, escalated, escalated_reasons, restored,
+                       journal.get(), fingerprint, result);
+    for (std::size_t slot = 0; slot < escalated.size(); ++slot) {
+      if (escalated_outcomes[slot].skipped) {
+        continue;  // Drained before its cycle run: keep the analytic row.
       }
-      for (std::size_t i = 0; i < estimates.size(); ++i) {
-        if (estimates[i] != nullptr && !oracle_demands[i] &&
-            estimates[i]->designed_lower_seconds <= best_upper) {
-          ++result.tier_stats.rank_contenders;
-        }
-      }
-      const std::vector<tiers::EscalationReason> reasons =
-          tiers::select_escalations(estimates, oracle_demands, cap);
-
-      // Phase 3: cycle-accurate evaluation of the escalated designs.
-      std::vector<std::uint64_t> escalated;
-      for (std::uint64_t index = 0; index < reasons.size(); ++index) {
-        if (reasons[index] != tiers::EscalationReason::kNone) {
-          escalated.push_back(index);
-        }
-      }
-      auto shared_reasons =
-          std::make_shared<std::vector<tiers::EscalationReason>>(reasons);
-      const CaseBody cycle_body = [shared_reasons](
-                                      const std::shared_ptr<CampaignState>& s,
-                                      std::uint64_t index) {
-        return run_cycle_outcome(index, s->options, s->evaluator,
-                                 &s->profile_cache, (*shared_reasons)[index]);
-      };
-      std::vector<CaseOutcome> escalated_outcomes = run_case_batch(
-          runner, state, escalated, cycle_key, cycle_body, restored,
-          journal.get(), fingerprint, result);
-      for (std::size_t slot = 0; slot < escalated.size(); ++slot) {
-        if (escalated_outcomes[slot].skipped) {
-          continue;  // Drained before its cycle run: keep the analytic row.
-        }
-        result.cases[escalated[slot]] =
-            std::move(escalated_outcomes[slot]);
-      }
+      result.cases[escalated[slot]] = std::move(escalated_outcomes[slot]);
     }
   }
 
@@ -956,8 +877,8 @@ std::string campaign_markdown(const CampaignResult& result,
   }
   md << "| oracle | pass | fail | rate |\n|---|---|---|---|\n";
   for (const std::string& oracle : result.oracle_names) {
-    const std::uint64_t pass = result.pass_count(oracle);
-    const std::uint64_t failed = result.fail_count(oracle);
+    const std::uint64_t pass = result.verdict_count(oracle, true);
+    const std::uint64_t failed = result.verdict_count(oracle, false);
     const std::uint64_t total = pass + failed;
     std::ostringstream rate;
     rate.precision(4);

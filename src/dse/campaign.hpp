@@ -141,11 +141,6 @@ struct CampaignOptions {
   bool search = false;
   std::uint32_t search_restarts = 2;
   std::uint32_t search_iterations = 60;
-  /// Cap on rank-overlap escalations in auto mode; 0 = automatic
-  /// (max(4, count / 50)). The calibrated band is wide enough that every
-  /// candidate overlaps the winner on most sweeps, so auto mode keeps
-  /// only the most promising contenders (lowest analytic lower bounds).
-  std::uint64_t max_rank_escalations = 0;
 
   // ---- Persistent store + sharding (docs/MODEL.md §15). ----
   /// Root of the content-addressed result store; empty = in-memory only.
@@ -189,6 +184,14 @@ struct CampaignOptions {
   std::function<void(std::uint64_t)> job_started_hook;
 };
 
+/// Why `options` cannot run, or nullopt when they can: the shard lies in
+/// range, --resume has a journal, and auto mode is neither sharded nor
+/// journaled (its escalation selection ranks every estimate of the sweep,
+/// which no shard or partial ledger holds). run_campaign throws the
+/// reason as a ConfigError; dse_campaign reports it as a usage error.
+[[nodiscard]] std::optional<std::string> options_error(
+    const CampaignOptions& options);
+
 /// 16-hex fingerprint of everything that determines a campaign's rows:
 /// engine revision, tier, seed/count, shard spec, sweep space, oracle
 /// bounds, and the watchdog budget (quarantined rows embed its message).
@@ -205,7 +208,11 @@ struct TierStats {
   std::uint64_t escalated_rank = 0;
   std::uint64_t escalated_oracle = 0;
   std::uint64_t rank_contenders = 0;  ///< Overlap set size before the cap.
-  std::uint64_t rank_cap = 0;         ///< Applied cap (auto mode).
+  /// Applied cap (auto mode): max(4, count / 50). The calibrated band is
+  /// wide enough that every candidate overlaps the winner on most sweeps,
+  /// so auto mode keeps only the most promising contenders (lowest
+  /// analytic lower bounds).
+  std::uint64_t rank_cap = 0;
   std::uint64_t band_checks = 0;      ///< Simulated rows with an estimate.
   std::uint64_t band_violations = 0;  ///< Measured escaped the band.
   /// Worst-case disagreement over the checked rows: measured over
@@ -254,8 +261,9 @@ struct CampaignResult {
   /// flag was raised): the CSV is partial and a --resume should follow.
   bool interrupted = false;
 
-  [[nodiscard]] std::uint64_t pass_count(const std::string& oracle) const;
-  [[nodiscard]] std::uint64_t fail_count(const std::string& oracle) const;
+  /// Rows whose `oracle` verdict is `pass`.
+  [[nodiscard]] std::uint64_t verdict_count(const std::string& oracle,
+                                            bool pass) const;
   [[nodiscard]] std::uint64_t error_count() const;
 };
 

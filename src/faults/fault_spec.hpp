@@ -65,6 +65,20 @@ struct FaultSpec {
   std::vector<LinkDown> dead_board_links;
   ResilienceSpec resilience;
 
+  /// Every fault class at one per-event `rate`, with CRC retransmission
+  /// on: one point of a degradation sweep.
+  [[nodiscard]] static FaultSpec at_rate(double rate, std::uint64_t seed) {
+    FaultSpec spec;
+    spec.seed = seed;
+    spec.flit_corruption_rate = rate;
+    spec.bus_error_rate = rate;
+    spec.bus_stall_rate = rate;
+    spec.sdram_bitflip_rate = rate;
+    spec.bram_bitflip_rate = rate;
+    spec.resilience.noc_crc = true;
+    return spec;
+  }
+
   /// True when any fault class is actually configured; the platform only
   /// builds a FaultInjector (and wires any hook) when this holds.
   [[nodiscard]] bool any_faults() const {

@@ -90,6 +90,8 @@ struct SearchRecord {
   std::uint64_t accepted = 0;
   std::uint64_t rejected_illegal = 0;
   std::uint64_t cache_hits = 0;
+
+  bool operator==(const SearchRecord&) const = default;
 };
 
 struct SearchResult {

@@ -99,7 +99,7 @@ TierEstimate TieredEvaluator::estimate(const sys::AppSchedule& schedule,
 std::vector<EscalationReason> select_escalations(
     const std::vector<const TierEstimate*>& estimates,
     const std::vector<bool>& oracle_demands,
-    std::uint64_t max_rank_escalations) {
+    std::uint64_t max_rank_escalations, std::uint64_t* rank_contenders) {
   std::vector<EscalationReason> reasons(estimates.size(),
                                         EscalationReason::kNone);
   // The lowest guaranteed ceiling: some design provably finishes within
@@ -120,6 +120,9 @@ std::vector<EscalationReason> select_escalations(
         estimates[i]->designed_lower_seconds <= best_upper) {
       contenders.push_back(i);
     }
+  }
+  if (rank_contenders != nullptr) {
+    *rank_contenders = contenders.size();
   }
   // Cap by keeping the most promising (lowest lower-bound) contenders;
   // ties resolve by index so the set is thread-count independent.

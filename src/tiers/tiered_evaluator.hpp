@@ -111,10 +111,12 @@ private:
 /// the lowest guaranteed ceiling (min upper bound) of the batch — the
 /// candidates among which the true winner may hide. `max_rank_escalations`
 /// caps the rank-overlap set (0 = uncapped), keeping the cheapest lower
-/// bounds first; the cap is reported, never silent.
+/// bounds first; the cap is reported, never silent: `rank_contenders`,
+/// when given, receives the set's size before the cap.
 [[nodiscard]] std::vector<EscalationReason> select_escalations(
     const std::vector<const TierEstimate*>& estimates,
     const std::vector<bool>& oracle_demands,
-    std::uint64_t max_rank_escalations = 0);
+    std::uint64_t max_rank_escalations = 0,
+    std::uint64_t* rank_contenders = nullptr);
 
 }  // namespace hybridic::tiers

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -391,14 +392,25 @@ void expect_same_snapshot(const ProfileSnapshot& x, const ProfileSnapshot& y) {
   EXPECT_EQ(x.call_order, y.call_order);
 }
 
-class QuadSeal : public ::testing::TestWithParam<void (*)(QuadProfiler&)> {};
+struct SealWorkload {
+  const char* name;
+  void (*run)(QuadProfiler&);
+};
+
+// Prints the workload's name: gtest would print a function pointer as its
+// address, which moves with every run and would leak into the ctest names.
+void PrintTo(const SealWorkload& workload, std::ostream* os) {
+  *os << workload.name;
+}
+
+class QuadSeal : public ::testing::TestWithParam<SealWorkload> {};
 
 TEST_P(QuadSeal, SealedEqualsFinalizedOnEveryReadSideQuery) {
   QuadProfiler finalized{ProfileMode::kDeferred};
-  GetParam()(finalized);
+  GetParam().run(finalized);
   finalized.finalize();
   QuadProfiler sealed{ProfileMode::kDeferred};
-  GetParam()(sealed);
+  GetParam().run(sealed);
   sealed.seal();
   EXPECT_FALSE(finalized.sealed());
   EXPECT_TRUE(sealed.sealed());
@@ -409,7 +421,7 @@ TEST_P(QuadSeal, SealedEqualsFinalizedOnEveryReadSideQuery) {
 
 TEST_P(QuadSeal, SealFreesShadowKeepsScanCountAndIsIdempotent) {
   QuadProfiler q{ProfileMode::kEager};
-  GetParam()(q);
+  GetParam().run(q);
   const std::uint64_t scans = q.shadow().scan_count();
   const std::uint64_t unsealed_bytes = q.approx_memory_bytes();
   ASSERT_GT(scans, 0U);
@@ -434,7 +446,7 @@ TEST_P(QuadSeal, SealFreesShadowKeepsScanCountAndIsIdempotent) {
 
 TEST_P(QuadSeal, SealedProfilerRejectsRecording) {
   QuadProfiler q{ProfileMode::kDeferred};
-  GetParam()(q);
+  GetParam().run(q);
   q.seal();
   const std::uint64_t edges = q.graph().edges().size();
   q.enter(0);
@@ -445,15 +457,10 @@ TEST_P(QuadSeal, SealedProfilerRejectsRecording) {
   EXPECT_EQ(q.graph().edges().size(), edges);
 }
 
-std::string workload_name(
-    const ::testing::TestParamInfo<QuadSeal::ParamType>& param) {
-  return param.param == &run_workload ? "Mixed" : "UniformPages";
-}
-
-INSTANTIATE_TEST_SUITE_P(Workloads, QuadSeal,
-                         ::testing::Values(&run_workload,
-                                           &run_page_workload),
-                         workload_name);
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, QuadSeal,
+    ::testing::Values(SealWorkload{"Mixed", &run_workload},
+                      SealWorkload{"UniformPages", &run_page_workload}));
 
 TEST(QuadSeal, SealWithOpenScopeThrows) {
   QuadProfiler q;

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -228,6 +229,22 @@ TEST(CampaignResume, ResumeRequiresJournalAndRejectsAutoTier) {
   dse::CampaignOptions auto_tier = small_campaign(journal_path("auto"));
   auto_tier.tier = tiers::TierMode::kAuto;
   EXPECT_THROW((void)dse::run_campaign(auto_tier), ConfigError);
+}
+
+// The rules dse_campaign reports as usage errors and run_campaign throws:
+// one function, so the binary and the library cannot drift apart.
+TEST(CampaignResume, OptionsErrorRejectsOutOfRangeAndAutoShards) {
+  EXPECT_EQ(dse::options_error(small_campaign(journal_path("valid"))),
+            std::nullopt);
+  dse::CampaignOptions sharded = small_campaign("");
+  sharded.shard_index = 2;
+  sharded.shard_count = 2;
+  EXPECT_EQ(dse::options_error(sharded), "--shard 2/2: need 0 <= I < N");
+  sharded.shard_index = 1;
+  EXPECT_EQ(dse::options_error(sharded), std::nullopt);
+  sharded.tier = tiers::TierMode::kAuto;
+  EXPECT_TRUE(dse::options_error(sharded).has_value());
+  EXPECT_THROW((void)dse::run_campaign(sharded), ConfigError);
 }
 
 }  // namespace

@@ -125,10 +125,12 @@ TEST(SelectEscalations, CapKeepsTheLowestLowerBounds) {
   const TierEstimate c = band(0.9, 10.0);
   const std::vector<const TierEstimate*> estimates{&a, &b, &c};
   const std::vector<bool> demands(3, false);
-  const auto reasons = select_escalations(estimates, demands, 2);
+  std::uint64_t contenders = 0;
+  const auto reasons = select_escalations(estimates, demands, 2, &contenders);
   EXPECT_EQ(reasons[0], EscalationReason::kRankOverlap);
   EXPECT_EQ(reasons[1], EscalationReason::kRankOverlap);
   EXPECT_EQ(reasons[2], EscalationReason::kNone);  // Capped out.
+  EXPECT_EQ(contenders, 3U);  // Reported before the cap.
 }
 
 TEST(SelectEscalations, NullEstimatesNeverEscalateByRank) {
