@@ -187,9 +187,10 @@ inline std::string csv_path(const std::string& name) {
 }
 
 /// Replace (or append) one marker-delimited section of
-/// bench_results/REPORT.md: everything from `marker` to the end of file is
-/// replaced by `section`, so campaign sections re-run idempotently after
-/// report_all has written the main report.
+/// bench_results/REPORT.md: the text from `marker` up to the next line
+/// starting "## " (or the end of the file) becomes `section`, so a
+/// campaign section re-runs idempotently and every other section —
+/// report_all's main report and the other campaigns' — stays in place.
 inline void patch_report_section(const std::string& marker,
                                  const std::string& section) {
   const std::string path = "bench_results/REPORT.md";
@@ -200,8 +201,13 @@ inline void patch_report_section(const std::string& marker,
     buffer << in.rdbuf();
     existing = buffer.str();
   }
+  std::string later;  // The sections after the replaced one.
   const std::size_t at = existing.find(marker);
   if (at != std::string::npos) {
+    const std::size_t next = existing.find("\n## ", at + marker.size());
+    if (next != std::string::npos) {
+      later = existing.substr(next + 1);
+    }
     existing.erase(at);
   }
   while (!existing.empty() && existing.back() == '\n') {
@@ -210,8 +216,15 @@ inline void patch_report_section(const std::string& marker,
   if (!existing.empty()) {
     existing += "\n\n";
   }
+  std::string patched = section;
+  if (!later.empty()) {
+    while (!patched.empty() && patched.back() == '\n') {
+      patched.pop_back();
+    }
+    patched += "\n\n" + later;
+  }
   std::ofstream out{path};
-  out << existing << section;
+  out << existing << patched;
 }
 
 }  // namespace hybridic::bench

@@ -1,8 +1,6 @@
 // Google-benchmark micro-benchmarks of the bus/DMA substrate.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
 #include "bus/bus.hpp"
 #include "bus/dma.hpp"
 #include "mem/bram.hpp"
@@ -21,8 +19,7 @@ void BM_BusTransactions(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;
     bus::Bus bus{"plb", engine, kBusClock,
-                 bus::BusConfig{8, 16, Cycles{2}, Cycles{1}, 2},
-                 std::make_unique<bus::PriorityArbiter>()};
+                 bus::BusConfig{8, 16, Cycles{2}, Cycles{1}, 2}};
     for (int i = 0; i < count; ++i) {
       bus.submit(bus::BusRequest{static_cast<std::uint32_t>(i % 2),
                                  Bytes{128}, Picoseconds{0}, {}});
@@ -40,8 +37,7 @@ void BM_DmaBlockTransfer(benchmark::State& state) {
     sim::Engine engine;
     mem::Sdram sdram{"sdram", kBusClock, mem::SdramConfig{}};
     bus::Bus bus{"plb", engine, kBusClock,
-                 bus::BusConfig{4, 1, Cycles{2}, Cycles{1}, 2},
-                 std::make_unique<bus::PriorityArbiter>()};
+                 bus::BusConfig{4, 1, Cycles{2}, Cycles{1}, 2}};
     bus::Dma dma{"dma", engine, bus, sdram, kHostClock,
                  bus::DmaConfig{Cycles{50}, 1024}, 1};
     mem::Bram bram{"bram", kKernelClock, Bytes{1024 * 1024}, 4};
@@ -56,16 +52,6 @@ void BM_DmaBlockTransfer(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_DmaBlockTransfer)->Arg(1024)->Arg(65536)->Arg(1 << 20);
-
-void BM_ArbiterSelect(benchmark::State& state) {
-  bus::WeightedRoundRobinArbiter arbiter{{3, 1, 2, 1}};
-  const std::vector<std::uint32_t> pending{0, 1, 2, 3};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(arbiter.select(pending));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ArbiterSelect);
 
 }  // namespace
 

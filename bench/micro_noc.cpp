@@ -1,5 +1,5 @@
 // Google-benchmark micro-benchmarks of the NoC substrate: message latency
-// and simulation throughput across mesh sizes, payloads and routings.
+// and simulation throughput across mesh sizes and payloads.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -73,23 +73,6 @@ void BM_NocAllToAll(benchmark::State& state) {
                           state.range(0) * (state.range(0) * state.range(0) - 1));
 }
 BENCHMARK(BM_NocAllToAll)->Arg(2)->Arg(3)->Arg(4);
-
-void BM_NocRoutingChoice(benchmark::State& state) {
-  const std::string routing = state.range(0) == 0 ? "XY" : "YX";
-  for (auto _ : state) {
-    sim::Engine engine;
-    noc::NetworkConfig config;
-    config.routing = routing;
-    noc::Network network{"noc", engine, kNocClock, noc::Mesh2D{4, 4},
-                         config};
-    network.attach_adapter(0, "a", noc::AdapterKind::kAccelerator);
-    network.attach_adapter(15, "b", noc::AdapterKind::kLocalMemory);
-    network.send(0, 15, Bytes{4096}, {});
-    engine.run();
-    benchmark::DoNotOptimize(network.stats().flits_ejected);
-  }
-}
-BENCHMARK(BM_NocRoutingChoice)->Arg(0)->Arg(1);
 
 }  // namespace
 

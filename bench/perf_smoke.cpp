@@ -20,7 +20,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -127,8 +126,7 @@ double bus_transactions_per_sec() {
   const double sec = time_runs(9, [&bus_clock, &transactions] {
     sim::Engine engine;
     bus::Bus plb{"plb", engine, bus_clock,
-                 bus::BusConfig{8, 16, Cycles{2}, Cycles{1}, 2},
-                 std::make_unique<bus::PriorityArbiter>()};
+                 bus::BusConfig{8, 16, Cycles{2}, Cycles{1}, 2}};
     for (int i = 0; i < kRequests; ++i) {
       plb.submit(bus::BusRequest{static_cast<std::uint32_t>(i % 2),
                                  Bytes{128}, Picoseconds{0}, {}});

@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
 
   // ---- Per-app design + timeline + validation (one job per app; the
   // profile comes from the cache, so this phase does zero re-profiling).
-  (void)bench::csv_path("dummy");  // ensure bench_results/ exists
   std::vector<sys::BatchRunner::Job<std::string>> section_jobs;
   for (const auto& name : apps::paper_app_names()) {
     const sys::AppExperiment& exp = experiments.at(name);
@@ -146,9 +145,7 @@ int main(int argc, char** argv) {
            // JSON design (distinct file per app; safe to write in
            // parallel).
            const std::string json_path =
-               bench::csv_path(name + "_design").substr(
-                   0, bench::csv_path(name + "_design").size() - 4) +
-               ".json";
+               bench::results_path(name + "_design.json");
            std::ofstream json_out{json_path};
            json_out << core::to_json(exp.proposed_design, schedule.specs);
            section << "\nmachine-readable design: `" << json_path << "`\n";
@@ -165,7 +162,7 @@ int main(int argc, char** argv) {
     for (const auto& name : apps::paper_app_names()) {
       const sys::AppExperiment& exp = experiments.at(name);
       const std::string trace_path =
-          "bench_results/" + name + "_trace.json";
+          bench::results_path(name + "_trace.json");
       std::ofstream trace_out{trace_path};
       sys::engine::write_chrome_trace(exp.proposed.trace,
                                       exp.proposed.system_name, trace_out);

@@ -269,6 +269,37 @@ void print_multi_board(const core::MultiBoardDesign& multi,
   std::cout << "\n";
 }
 
+/// The --validate report of `design`.
+void print_validation(const core::DesignResult& design,
+                      const sys::AppSchedule& schedule) {
+  const auto issues = core::validate_design(design, schedule.specs);
+  if (issues.empty()) {
+    std::cout << "design validation: clean\n\n";
+  } else {
+    std::cout << "design validation:\n"
+              << core::format_issues(issues) << "\n";
+  }
+}
+
+/// The two-level design of `input` over --boards boards, and the
+/// multi-board platform it runs on.
+struct MultiBoardPlan {
+  core::MultiBoardDesign design;
+  sys::MultiBoardConfig config;
+};
+
+MultiBoardPlan plan_multi_board(const CliOptions& cli,
+                                const core::DesignInput& input,
+                                const sys::PlatformConfig& platform) {
+  core::MultiBoardDesignInput minput;
+  minput.base = input;
+  minput.board_count = cli.boards;
+  return {core::design_multi_board(minput),
+          sys::MultiBoardConfig::uniform(
+              cli.boards, platform,
+              core::parse_board_topology(cli.board_topology))};
+}
+
 int run_cli(const CliOptions& cli) {
   std::set<std::string> flags = cli.flags;
   // Remembered across the --all remap below.
@@ -339,13 +370,7 @@ int run_cli(const CliOptions& cli) {
       std::cout << core::to_json(design, schedule.specs) << "\n";
     }
     if (flags.count("--validate") > 0) {
-      const auto issues = core::validate_design(design, schedule.specs);
-      if (issues.empty()) {
-        std::cout << "design validation: clean\n\n";
-      } else {
-        std::cout << "design validation:\n"
-                  << core::format_issues(issues) << "\n";
-      }
+      print_validation(design, schedule);
     }
     print_estimate(est);
     if (do_search) {
@@ -353,16 +378,12 @@ int run_cli(const CliOptions& cli) {
           search::anneal_interconnect(schedule, input, platform_config, {}));
     }
     if (cli.boards > 1) {
-      core::MultiBoardDesignInput minput;
-      minput.base = input;
-      minput.board_count = cli.boards;
-      const core::MultiBoardDesign multi = core::design_multi_board(minput);
-      const sys::MultiBoardConfig mbc = sys::MultiBoardConfig::uniform(
-          cli.boards, platform_config,
-          core::parse_board_topology(cli.board_topology));
+      const MultiBoardPlan multi =
+          plan_multi_board(cli, input, platform_config);
       const tiers::TierEstimate mest = tiers::analytic_estimate_multi(
-          schedule, multi, mbc, input.theta.seconds_per_byte);
-      print_multi_board(multi, cli.board_topology, nullptr);
+          schedule, multi.design, multi.config,
+          input.theta.seconds_per_byte);
+      print_multi_board(multi.design, cli.board_topology, nullptr);
       std::cout << "inter-board analytic term: " << mest.inter_board_edges
                 << " cut edges, " << mest.inter_board_bytes << " bytes, "
                 << mest.inter_board_hop_bytes
@@ -425,14 +446,7 @@ int run_cli(const CliOptions& cli) {
               << "\n";
   }
   if (flags.count("--validate") > 0) {
-    const auto issues =
-        core::validate_design(exp.proposed_design, schedule.specs);
-    if (issues.empty()) {
-      std::cout << "design validation: clean\n\n";
-    } else {
-      std::cout << "design validation:\n"
-                << core::format_issues(issues) << "\n";
-    }
+    print_validation(exp.proposed_design, schedule);
   }
   if (flags.count("--timeline") > 0) {
     std::cout << sys::render_timeline(exp.proposed) << "\n";
@@ -463,16 +477,12 @@ int run_cli(const CliOptions& cli) {
               << "\n\n";
   }
   if (cli.boards > 1) {
-    core::MultiBoardDesignInput minput;
-    minput.base = sys::make_design_input(schedule, platform_config);
-    minput.board_count = cli.boards;
-    const core::MultiBoardDesign multi = core::design_multi_board(minput);
-    const sys::MultiBoardConfig mbc = sys::MultiBoardConfig::uniform(
-        cli.boards, platform_config,
-        core::parse_board_topology(cli.board_topology));
+    const MultiBoardPlan multi = plan_multi_board(
+        cli, sys::make_design_input(schedule, platform_config),
+        platform_config);
     const sys::MultiBoardRunResult mrun =
-        sys::run_designed_multi(schedule, multi, mbc);
-    print_multi_board(multi, cli.board_topology, &mrun);
+        sys::run_designed_multi(schedule, multi.design, multi.config);
+    print_multi_board(multi.design, cli.board_topology, &mrun);
   }
   if (flags.count("--compare") > 0) {
     Table table{"System comparison"};

@@ -8,17 +8,15 @@
 namespace hybridic::bus {
 
 Bus::Bus(std::string name, sim::Engine& engine, const sim::ClockDomain& clock,
-         BusConfig config, std::unique_ptr<Arbiter> arbiter)
+         BusConfig config)
     : name_(std::move(name)),
       engine_(&engine),
       clock_(&clock),
       config_(config),
-      arbiter_(std::move(arbiter)),
       queues_(config.master_count) {
   require(config.width_bytes > 0, "bus width must be non-zero");
   require(config.max_burst_beats > 0, "bus burst length must be non-zero");
   require(config.master_count > 0, "bus needs at least one master");
-  require(arbiter_ != nullptr, "bus needs an arbiter");
 }
 
 std::uint64_t Bus::data_beats(Bytes bytes) const {
@@ -48,25 +46,22 @@ double Bus::theta_seconds_per_byte(Bytes bytes) const {
 
 void Bus::submit(BusRequest request) {
   require(request.master < config_.master_count, "bus master out of range");
-  queues_[request.master].push_back(
-      Pending{std::move(request), engine_->now()});
+  queues_[request.master].push_back(std::move(request));
   if (!busy_) {
     try_grant();
   }
 }
 
 void Bus::try_grant() {
-  std::vector<std::uint32_t> pending;
-  for (std::uint32_t m = 0; m < config_.master_count; ++m) {
-    if (!queues_[m].empty()) {
-      pending.push_back(m);
-    }
+  // Fixed priority: the lowest-numbered master with a pending request.
+  std::uint32_t winner = 0;
+  while (winner < config_.master_count && queues_[winner].empty()) {
+    ++winner;
   }
-  if (pending.empty()) {
+  if (winner == config_.master_count) {
     return;
   }
-  const std::uint32_t winner = arbiter_->select(pending);
-  Pending grant = std::move(queues_[winner].front());
+  BusRequest grant = std::move(queues_[winner].front());
   queues_[winner].pop_front();
 
   Picoseconds start = clock_->align_up(engine_->now());
@@ -77,20 +72,19 @@ void Bus::try_grant() {
     start += clock_->span(stall);
     ++faults_->stats().bus_stalls;
     faults_->record(faults::FaultKind::kBusStall, start.seconds(),
-                    grant.request.bytes.count(),
+                    grant.bytes.count(),
                     name_ + ": arbiter stalled master " +
                         std::to_string(winner) + " for " +
                         std::to_string(stall.count()) + " cycles");
   }
-  const Picoseconds occupied = uncontended_time(grant.request.bytes);
+  const Picoseconds occupied = uncontended_time(grant.bytes);
   const Picoseconds release = start + occupied;
-  const Picoseconds done = release + grant.request.extra_latency;
+  const Picoseconds done = release + grant.extra_latency;
 
   busy_ = true;
   busy_time_ += occupied;
-  bytes_transferred_ += grant.request.bytes;
+  bytes_transferred_ += grant.bytes;
   ++transactions_;
-  wait_summary_.add((start - grant.arrived).seconds());
 
   // The bus frees at `release`; the requester learns of completion once the
   // slave-side latency has also elapsed.
@@ -98,9 +92,9 @@ void Bus::try_grant() {
     busy_ = false;
     try_grant();
   });
-  if (grant.request.on_complete) {
+  if (grant.on_complete) {
     engine_->schedule_at(
-        done, [cb = std::move(grant.request.on_complete), done] { cb(done); });
+        done, [cb = std::move(grant.on_complete), done] { cb(done); });
   }
 }
 

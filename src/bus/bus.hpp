@@ -2,6 +2,9 @@
 //
 // One transaction owns the bus at a time: arbitration cycles, an address
 // phase, then data beats at the bus width, split into maximum-length bursts.
+// Masters are granted by fixed priority, PLB-style: the lowest-numbered
+// master with a pending request wins, so a busy master 0 starves the rest
+// by design.
 // Masters submit requests with completion callbacks; the engine drives
 // grant/completion events so bus traffic overlaps correctly with kernel
 // computation and NoC transfers in the proposed system.
@@ -10,14 +13,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "bus/arbiter.hpp"
 #include "sim/clock.hpp"
 #include "sim/engine.hpp"
-#include "sim/stats.hpp"
 #include "util/units.hpp"
 
 namespace hybridic::faults {
@@ -47,7 +47,7 @@ struct BusRequest {
 class Bus {
 public:
   Bus(std::string name, sim::Engine& engine, const sim::ClockDomain& clock,
-      BusConfig config, std::unique_ptr<Arbiter> arbiter);
+      BusConfig config);
 
   /// Submit a transfer; `on_complete` fires at the delivery time of the
   /// last beat. Requests from the same master stay FIFO.
@@ -64,9 +64,6 @@ public:
   [[nodiscard]] Bytes bytes_transferred() const { return bytes_transferred_; }
   [[nodiscard]] std::uint64_t transactions() const { return transactions_; }
   [[nodiscard]] Picoseconds busy_time() const { return busy_time_; }
-  [[nodiscard]] const sim::Summary& wait_summary() const {
-    return wait_summary_;
-  }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const BusConfig& config() const { return config_; }
 
@@ -82,20 +79,14 @@ private:
   sim::Engine* engine_;
   const sim::ClockDomain* clock_;
   BusConfig config_;
-  std::unique_ptr<Arbiter> arbiter_;
 
-  /// Per-master FIFO of pending requests (front = oldest), plus arrival time.
-  struct Pending {
-    BusRequest request;
-    Picoseconds arrived;
-  };
-  std::vector<std::deque<Pending>> queues_;
+  /// Per-master FIFO of pending requests (front = oldest).
+  std::vector<std::deque<BusRequest>> queues_;
   bool busy_ = false;
 
   Bytes bytes_transferred_{0};
   std::uint64_t transactions_ = 0;
   Picoseconds busy_time_{0};
-  sim::Summary wait_summary_;
   faults::FaultInjector* faults_ = nullptr;
 };
 

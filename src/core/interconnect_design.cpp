@@ -7,7 +7,6 @@
 
 #include "core/noc_placement.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace hybridic::core {
 

@@ -4,28 +4,6 @@
 
 namespace hybridic::faults {
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kFlitCorruption:
-      return "flit-corruption";
-    case FaultKind::kMessageLost:
-      return "message-lost";
-    case FaultKind::kBusError:
-      return "bus-error";
-    case FaultKind::kBusStall:
-      return "bus-stall";
-    case FaultKind::kSdramBitFlip:
-      return "sdram-bitflip";
-    case FaultKind::kBramBitFlip:
-      return "bram-bitflip";
-    case FaultKind::kRetransmit:
-      return "retransmit";
-    case FaultKind::kBusRetry:
-      return "bus-retry";
-  }
-  return "?";
-}
-
 Rng& FaultInjector::stream(SiteKind kind, std::uint64_t site) {
   const auto key =
       std::make_pair(static_cast<std::uint8_t>(kind), site);

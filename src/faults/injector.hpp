@@ -33,8 +33,6 @@ enum class FaultKind : std::uint8_t {
 };
 inline constexpr std::size_t kFaultKindCount = 8;
 
-[[nodiscard]] const char* fault_kind_name(FaultKind kind);
-
 /// One recorded injection or recovery, timestamped in simulated seconds.
 struct FaultEvent {
   FaultKind kind = FaultKind::kFlitCorruption;

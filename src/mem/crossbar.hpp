@@ -1,12 +1,13 @@
-// 2x2 crossbar for the shared-local-memory solution.
+// Shared-local-memory wiring.
 //
 // Paper §IV-A1: two kernels that communicate exclusively share their local
 // memories through a 2x2 crossbar (201 LUTs / 200 registers, Table II). The
 // crossbar switches accesses by address and "does not introduce any
 // communication overhead because it does not change the structure of data" —
-// so the timing model adds zero latency; its value is that the consumer reads
-// the producer's output in place, eliminating the two bus trips
-// (Δc = 2·D_ij·θ in the paper's model).
+// so no program times it: its value is that the consumer reads the
+// producer's output in place, eliminating the two bus trips
+// (Δc = 2·D_ij·θ in the paper's model), and its cost is the LUTs and
+// registers core/resource_model charges.
 //
 // When the consumer kernel has no host traffic at all (D^H = 0), the pair
 // shares the BRAM directly and not even the crossbar is instantiated
@@ -14,10 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-
-#include "mem/bram.hpp"
-#include "util/units.hpp"
 
 namespace hybridic::mem {
 
@@ -25,30 +22,6 @@ namespace hybridic::mem {
 enum class SharingStyle : std::uint8_t {
   kCrossbar,  ///< 2x2 crossbar; both kernels still reachable from the host.
   kDirect,    ///< BRAM port shared directly; consumer has no host traffic.
-};
-
-/// A 2x2 crossbar connecting two kernel cores to two BRAMs.
-///
-/// Accesses route by address range: each kernel reaches both BRAMs with no
-/// added cycles. The model exposes the two BRAM sides; contention is
-/// resolved by the BRAM ports themselves.
-class Crossbar2x2 {
-public:
-  Crossbar2x2(std::string name, Bram& memory0, Bram& memory1);
-
-  /// Route an access from kernel side `side` (0 or 1) to memory `target`
-  /// (0 or 1). Zero switching latency; returns the BRAM completion time.
-  Picoseconds access(std::uint32_t side, std::uint32_t target,
-                     Picoseconds earliest, Bytes bytes);
-
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::uint64_t routed_accesses() const { return routed_; }
-  [[nodiscard]] Bram& memory(std::uint32_t index);
-
-private:
-  std::string name_;
-  Bram* memories_[2];
-  std::uint64_t routed_ = 0;
 };
 
 }  // namespace hybridic::mem

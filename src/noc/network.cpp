@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <sstream>
 #include <utility>
 
 #include "faults/injector.hpp"
@@ -18,7 +17,6 @@ Network::Network(std::string name, sim::Engine& engine,
       clock_(&clock),
       mesh_(mesh),
       config_(config),
-      routing_(make_routing(config.routing)),
       adapters_(mesh.node_count()),
       in_route_(mesh.node_count()) {
   routers_.reserve(mesh_.node_count());
@@ -91,7 +89,7 @@ bool Network::route_detoured(std::uint32_t src, std::uint32_t dst) const {
     return false;
   }
   return link_state_->reachable(src, dst) &&
-         link_state_->detours(*routing_, src, dst);
+         link_state_->detours(src, dst);
 }
 
 PortDir Network::route_from(std::uint32_t node, const Flit& flit) const {
@@ -103,7 +101,7 @@ PortDir Network::route_from(std::uint32_t node, const Flit& flit) const {
                "links (send-side reachability check missed it)");
     return *hop;
   }
-  return routing_->route(mesh_, node, flit.destination);
+  return xy_route(mesh_.coord_of(node), mesh_.coord_of(flit.destination));
 }
 
 void Network::maybe_corrupt(Flit& flit, std::uint32_t node,
@@ -205,15 +203,13 @@ std::uint64_t Network::send(std::uint32_t source, std::uint32_t destination,
     return id;
   }
 
-  const Picoseconds sent_at = engine_->now();
   ++inflight_;
   adapters_[destination]->expect_message(
       id, bytes,
-      [this, cb = std::move(on_delivered), sent_at](
+      [this, cb = std::move(on_delivered)](
           std::uint64_t message_id, Bytes message_bytes, Picoseconds now) {
         --inflight_;
         ++stats_.messages_delivered;
-        stats_.message_latency_seconds.add((now - sent_at).seconds());
         if (cb) {
           cb(message_id, message_bytes, now);
         }
@@ -249,37 +245,7 @@ bool Network::tick(Picoseconds now) {
           flit.is_head() ? route_from(node, flit) : PortDir::kLocal);
     }
   }
-  if (tick_observer_) {
-    tick_observer_(now);
-  }
   return inflight_ > 0;
-}
-
-std::string Network::stats_report() const {
-  std::ostringstream out;
-  out << "NoC " << mesh_.width() << "x" << mesh_.height() << " ("
-      << routing_->name() << "): " << stats_.messages_delivered
-      << " messages, " << stats_.flits_ejected << " flits ejected\n";
-  if (stats_.flit_latency_seconds.count() > 0) {
-    out << "flit latency: mean "
-        << stats_.flit_latency_seconds.mean() * 1e9 << " ns, max "
-        << stats_.flit_latency_seconds.max() * 1e9 << " ns\n";
-  }
-  if (stats_.message_latency_seconds.count() > 0) {
-    out << "message latency: mean "
-        << stats_.message_latency_seconds.mean() * 1e6 << " us, max "
-        << stats_.message_latency_seconds.max() * 1e6 << " us\n";
-  }
-  for (const Router& r : routers_) {
-    if (r.flits_forwarded() == 0 && r.occupancy() == 0) {
-      continue;
-    }
-    const Coord c = mesh_.coord_of(r.id());
-    out << "  router (" << c.x << "," << c.y << "): "
-        << r.flits_forwarded() << " flits forwarded, occupancy "
-        << r.occupancy() << "\n";
-  }
-  return out.str();
 }
 
 void Network::move_router_flits(Router& router_ref, Picoseconds now) {
@@ -378,7 +344,7 @@ bool Network::try_forward(Router& router_ref, PortDir out, PortDir in,
       }
       in_route_[router_ref.id()][static_cast<std::size_t>(in)].reset();
     }
-    eject_flit_stats(flit, now);
+    ++stats_.flits_ejected;
     Adapter* sink = adapters_[router_ref.id()].get();
     sim_assert(sink != nullptr, "flit ejected at node without adapter");
     sink->deliver(flit, now);
@@ -405,12 +371,6 @@ bool Network::try_forward(Router& router_ref, PortDir out, PortDir in,
               flit.is_head() ? route_from(*neighbor_id, flit)
                              : PortDir::kLocal);
   return true;
-}
-
-void Network::eject_flit_stats(const Flit& flit, Picoseconds now) {
-  ++stats_.flits_ejected;
-  stats_.flit_latency_seconds.add(
-      (now - Picoseconds{flit.injected_at_ps}).seconds());
 }
 
 Picoseconds Network::ideal_latency(Bytes bytes, std::uint32_t hops) const {

@@ -5,8 +5,8 @@
 // is in flight, so an idle NoC adds no simulation cost.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -20,7 +20,6 @@
 #include "noc/topology.hpp"
 #include "sim/clock.hpp"
 #include "sim/engine.hpp"
-#include "sim/stats.hpp"
 #include "util/units.hpp"
 
 namespace hybridic::faults {
@@ -33,15 +32,12 @@ namespace hybridic::noc {
 struct NetworkConfig {
   RouterConfig router;
   std::uint32_t max_packet_payload_bytes = 256;
-  std::string routing = "XY";
 };
 
 /// Aggregate NoC statistics.
 struct NetworkStats {
   std::uint64_t flits_ejected = 0;
   std::uint64_t messages_delivered = 0;
-  sim::Summary flit_latency_seconds;
-  sim::Summary message_latency_seconds;
 };
 
 /// A mesh NoC instance bound to a simulation engine and clock domain.
@@ -79,16 +75,6 @@ public:
   [[nodiscard]] const sim::ClockDomain& clock() const { return *clock_; }
   [[nodiscard]] std::uint64_t inflight_messages() const { return inflight_; }
 
-  /// Called after every NoC tick with the tick time — used by tracers.
-  using TickObserver = std::function<void(Picoseconds)>;
-  void set_tick_observer(TickObserver observer) {
-    tick_observer_ = std::move(observer);
-  }
-
-  /// Human-readable per-router statistics (forwarded flits, occupancy)
-  /// plus network-level latency summaries.
-  [[nodiscard]] std::string stats_report() const;
-
   /// Enable fault injection: builds the surviving-link state from the
   /// injector's dead-link spec (switching all routing to fault-aware BFS
   /// next hops), and wires the CRC/retransmission hooks into every adapter
@@ -102,7 +88,7 @@ public:
                                   std::uint32_t dst) const;
 
   /// True when the fault-aware route from `src` to `dst` deviates from the
-  /// configured base algorithm's path (i.e. detours around a dead link).
+  /// XY path (i.e. detours around a dead link).
   [[nodiscard]] bool route_detoured(std::uint32_t src,
                                     std::uint32_t dst) const;
 
@@ -113,12 +99,11 @@ public:
 private:
   void move_router_flits(Router& router, Picoseconds now);
   bool try_forward(Router& router, PortDir out, PortDir in, Picoseconds now);
-  void eject_flit_stats(const Flit& flit, Picoseconds now);
 
   /// Routing decision for `flit` as seen from router `node`, computed once
   /// when a flit is accepted into a buffer (cached in BufferedFlit::route).
   /// With dead links present the decision comes from the fault-aware BFS
-  /// table instead of the base algorithm.
+  /// table instead of XY routing.
   [[nodiscard]] PortDir route_from(std::uint32_t node,
                                    const Flit& flit) const;
 
@@ -133,7 +118,6 @@ private:
   const sim::ClockDomain* clock_;
   Mesh2D mesh_;
   NetworkConfig config_;
-  std::unique_ptr<Routing> routing_;
 
   std::vector<Router> routers_;
   std::vector<std::unique_ptr<Adapter>> adapters_;  // indexed by node id
@@ -147,7 +131,6 @@ private:
   std::uint64_t next_message_id_ = 1;
   std::uint64_t inflight_ = 0;
   NetworkStats stats_;
-  TickObserver tick_observer_;
 
   faults::FaultInjector* faults_ = nullptr;
   std::unique_ptr<LinkState> link_state_;

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "noc/flit.hpp"
-#include "noc/routing.hpp"
 #include "noc/topology.hpp"
 #include "util/units.hpp"
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -14,76 +15,6 @@ constexpr std::uint32_t kUnreachable =
 constexpr PortDir kMeshDirs[] = {PortDir::kNorth, PortDir::kEast,
                                  PortDir::kSouth, PortDir::kWest};
 }  // namespace
-
-PortDir XyRouting::route(const Mesh2D& mesh, std::uint32_t current,
-                         std::uint32_t destination) const {
-  const Coord c = mesh.coord_of(current);
-  const Coord d = mesh.coord_of(destination);
-  if (c.x < d.x) {
-    return PortDir::kEast;
-  }
-  if (c.x > d.x) {
-    return PortDir::kWest;
-  }
-  if (c.y < d.y) {
-    return PortDir::kNorth;
-  }
-  if (c.y > d.y) {
-    return PortDir::kSouth;
-  }
-  return PortDir::kLocal;
-}
-
-PortDir YxRouting::route(const Mesh2D& mesh, std::uint32_t current,
-                         std::uint32_t destination) const {
-  const Coord c = mesh.coord_of(current);
-  const Coord d = mesh.coord_of(destination);
-  if (c.y < d.y) {
-    return PortDir::kNorth;
-  }
-  if (c.y > d.y) {
-    return PortDir::kSouth;
-  }
-  if (c.x < d.x) {
-    return PortDir::kEast;
-  }
-  if (c.x > d.x) {
-    return PortDir::kWest;
-  }
-  return PortDir::kLocal;
-}
-
-PortDir WestFirstRouting::route(const Mesh2D& mesh, std::uint32_t current,
-                                std::uint32_t destination) const {
-  const Coord c = mesh.coord_of(current);
-  const Coord d = mesh.coord_of(destination);
-  if (c.x > d.x) {
-    return PortDir::kWest;  // All westward movement happens first.
-  }
-  if (c.y < d.y) {
-    return PortDir::kNorth;
-  }
-  if (c.y > d.y) {
-    return PortDir::kSouth;
-  }
-  if (c.x < d.x) {
-    return PortDir::kEast;
-  }
-  return PortDir::kLocal;
-}
-
-std::unique_ptr<Routing> make_routing(const std::string& name) {
-  if (name == "XY" || name == "xy") {
-    return std::make_unique<XyRouting>();
-  }
-  if (name == "YX" || name == "yx") {
-    return std::make_unique<YxRouting>();
-  }
-  if (name == "WestFirst" || name == "westfirst" || name == "WF") {
-    return std::make_unique<WestFirstRouting>();
-  }
-  throw ConfigError{"unknown routing algorithm: " + name};
-}
 
 LinkState::LinkState(
     const Mesh2D& mesh,
@@ -183,12 +114,12 @@ std::optional<PortDir> LinkState::next_hop(std::uint32_t current,
   return std::nullopt;  // unreachable: dist[current] finite implies a hop
 }
 
-bool LinkState::detours(const Routing& base, std::uint32_t src,
-                        std::uint32_t dst) const {
+bool LinkState::detours(std::uint32_t src, std::uint32_t dst) const {
+  const Coord to = mesh_.coord_of(dst);
   std::uint32_t current = src;
-  // Base algorithms are minimal, so the walk ends within node_count hops.
+  // XY is minimal, so the walk ends within node_count hops.
   for (std::uint32_t steps = 0; steps < mesh_.node_count(); ++steps) {
-    const PortDir dir = base.route(mesh_, current, dst);
+    const PortDir dir = xy_route(mesh_.coord_of(current), to);
     if (dir == PortDir::kLocal) {
       return false;
     }

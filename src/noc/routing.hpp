@@ -1,16 +1,16 @@
-// Deterministic routing algorithms for the 2-D mesh.
+// Routing on the 2-D mesh.
 //
-// XY dimension-order routing is deadlock-free on a mesh and is what FPGA
+// Dimension-order XY routing is deadlock-free on a mesh and is what FPGA
 // mesh NoCs (including the router family the paper adapts) ship by default.
-// YX is provided as an alternative for tests and ablations.
+// It is the one routing decision of the platform: the flit-level Network
+// and the analytic tier's hop accounting both step with xy_route, so the
+// links the simulator congests are the links tier 1 charges.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,47 +18,17 @@
 
 namespace hybridic::noc {
 
-/// Routing decision: which output port a flit at `current` takes to reach
-/// `destination`.
-class Routing {
-public:
-  virtual ~Routing() = default;
-
-  [[nodiscard]] virtual PortDir route(const Mesh2D& mesh,
-                                      std::uint32_t current,
-                                      std::uint32_t destination) const = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// Dimension-order XY: correct X first, then Y, then eject.
-class XyRouting final : public Routing {
-public:
-  [[nodiscard]] PortDir route(const Mesh2D& mesh, std::uint32_t current,
-                              std::uint32_t destination) const override;
-  [[nodiscard]] std::string name() const override { return "XY"; }
-};
-
-/// Dimension-order YX: correct Y first, then X, then eject.
-class YxRouting final : public Routing {
-public:
-  [[nodiscard]] PortDir route(const Mesh2D& mesh, std::uint32_t current,
-                              std::uint32_t destination) const override;
-  [[nodiscard]] std::string name() const override { return "YX"; }
-};
-
-/// West-first turn model (deterministic variant): all westward hops are
-/// taken first; afterwards the packet corrects Y, then moves east. Since
-/// no turn ever enters the west direction after leaving it, the routing
-/// is deadlock-free, and every path is still minimal.
-class WestFirstRouting final : public Routing {
-public:
-  [[nodiscard]] PortDir route(const Mesh2D& mesh, std::uint32_t current,
-                              std::uint32_t destination) const override;
-  [[nodiscard]] std::string name() const override { return "WestFirst"; }
-};
-
-[[nodiscard]] std::unique_ptr<Routing> make_routing(const std::string& name);
+/// Dimension-order XY: the output port a flit at `at` takes towards `to` —
+/// correct X first, then Y, then eject (kLocal).
+[[nodiscard]] constexpr PortDir xy_route(Coord at, Coord to) {
+  if (at.x != to.x) {
+    return at.x < to.x ? PortDir::kEast : PortDir::kWest;
+  }
+  if (at.y != to.y) {
+    return at.y < to.y ? PortDir::kNorth : PortDir::kSouth;
+  }
+  return PortDir::kLocal;
+}
 
 /// The surviving-link view of a mesh with permanently dead links, plus
 /// fault-aware next-hop computation.
@@ -68,7 +38,7 @@ public:
 /// neighbors visited in fixed port order for determinism). Distance to the
 /// destination strictly decreases along every hop, so routes are loop-free
 /// and always deliver when a path exists. Partial detours off a
-/// dimension-order route could loop, which is why the base algorithm is
+/// dimension-order route could loop, which is why XY routing is
 /// bypassed entirely rather than patched around each dead link. The BFS
 /// routes are not covered by the dimension-order deadlock-freedom argument;
 /// the wait_all watchdog backstops the (rare) adversarial configurations.
@@ -91,10 +61,9 @@ public:
   [[nodiscard]] std::optional<PortDir> next_hop(
       std::uint32_t current, std::uint32_t destination) const;
 
-  /// Would the base algorithm's path from `src` to `dst` cross a dead
-  /// link (i.e. does the fault-aware route detour)?
-  [[nodiscard]] bool detours(const Routing& base, std::uint32_t src,
-                             std::uint32_t dst) const;
+  /// Would the XY path from `src` to `dst` cross a dead link (i.e. does
+  /// the fault-aware route detour)?
+  [[nodiscard]] bool detours(std::uint32_t src, std::uint32_t dst) const;
 
   [[nodiscard]] std::size_t dead_link_count() const { return dead_.size(); }
 

@@ -4,7 +4,6 @@
 #include <map>
 #include <numeric>
 #include <set>
-#include <sstream>
 
 #include "util/error.hpp"
 
@@ -325,24 +324,6 @@ std::vector<Move> legal_moves(const SearchProblem& problem,
   }
 
   return moves;
-}
-
-std::string to_string(const Move& move) {
-  std::ostringstream out;
-  switch (move.kind) {
-    case MoveKind::kToggleDuplication:
-      out << "dup";
-      break;
-    case MoveKind::kSetPair:
-      out << "pair";
-      break;
-    case MoveKind::kSetMapping:
-      out << "map";
-      break;
-  }
-  out << '[' << move.target << "] " << static_cast<int>(move.from) << "->"
-      << static_cast<int>(move.to);
-  return out.str();
 }
 
 }  // namespace hybridic::search

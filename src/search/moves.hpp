@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/interconnect_design.hpp"
@@ -123,7 +122,5 @@ void apply_move(SearchVars& vars, const Move& move);
 /// enable_* ablation switches.
 [[nodiscard]] std::vector<Move> legal_moves(const SearchProblem& problem,
                                             const SearchVars& vars);
-
-[[nodiscard]] std::string to_string(const Move& move);
 
 }  // namespace hybridic::search

@@ -56,7 +56,7 @@ std::string estimate_scope(const sys::PlatformConfig& platform,
        << ";sdramw=" << platform.sdram.width_bytes
        << ";sdramlat=" << platform.sdram.access_latency.count()
        << ";payload=" << platform.noc.max_packet_payload_bytes
-       << ";routing=" << platform.noc.routing
+       << ";routing=XY"  // The one mesh routing (noc::xy_route).
        << ";rbuf=" << platform.noc.router.buffer_flits
        << ";rpipe=" << platform.noc.router.pipeline_cycles
        << ";bram=" << platform.bram_capacity.count()

@@ -10,20 +10,6 @@
 
 namespace hybridic::sys {
 
-const char* job_status_name(JobStatus status) {
-  switch (status) {
-    case JobStatus::kOk:
-      return "ok";
-    case JobStatus::kCrashed:
-      return "crashed";
-    case JobStatus::kTimeout:
-      return "timeout";
-    case JobStatus::kSkipped:
-      return "skipped";
-  }
-  return "unknown";
-}
-
 std::string watchdog_expired_message(double timeout_seconds) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "wall-clock watchdog (%gs) expired",

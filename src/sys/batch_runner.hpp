@@ -51,8 +51,6 @@ enum class JobStatus : std::uint8_t {
   kSkipped,  ///< Never started: stop was requested before admission.
 };
 
-[[nodiscard]] const char* job_status_name(JobStatus status);
-
 /// Deterministic watchdog-expiry message ("%g"-formatted budget, no
 /// measured times) so a quarantined row's text is identical across runs.
 [[nodiscard]] std::string watchdog_expired_message(double timeout_seconds);
@@ -108,8 +106,8 @@ struct JobReport {
   bool ok = true;
   std::string error;           ///< Exception message when !ok.
   /// Supervised batches only (run_supervised): terminal state and the
-  /// number of attempts started. Plain run()/run_collect() leave the
-  /// defaults (kOk / 1).
+  /// number of attempts started. Plain run() leaves the defaults
+  /// (kOk / 1).
   JobStatus status = JobStatus::kOk;
   std::uint32_t attempts = 1;
 };
@@ -265,23 +263,7 @@ public:
     return results;
   }
 
-  /// As run(), but failures only land in last_report() — failed jobs yield
-  /// no value, and the returned vector holds std::nullopt in their slots.
-  template <typename R>
-  std::vector<std::optional<R>> run_collect(std::vector<Job<R>> jobs) {
-    std::vector<std::optional<R>> slots(jobs.size());
-    std::vector<std::string> keys;
-    keys.reserve(jobs.size());
-    for (const Job<R>& job : jobs) {
-      keys.push_back(job.key);
-    }
-    run_erased(keys, [&jobs, &slots](std::size_t i, JobContext& context) {
-      slots[i].emplace(jobs[i].run(context));
-    });
-    return slots;
-  }
-
-  /// As run_collect(), but each job runs under supervision: a per-attempt
+  /// As run(), but each job runs under supervision: a per-attempt
   /// wall-clock watchdog, bounded transient retry with exponential
   /// backoff, and a stop-flag admission gate. Every slot reports exactly
   /// one terminal status; nothing is rethrown. Results stay in submission

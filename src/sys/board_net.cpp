@@ -133,14 +133,6 @@ BoardNetwork::BoardNetwork(std::uint32_t board_count,
   }
 }
 
-const std::vector<std::uint32_t>& BoardNetwork::neighbors(
-    std::uint32_t board) const {
-  if (board >= board_count_) {
-    throw ConfigError{"board " + std::to_string(board) + " out of range"};
-  }
-  return live_[board];
-}
-
 std::vector<std::uint32_t> BoardNetwork::bfs_route(
     std::uint32_t src, std::uint32_t dst,
     const std::vector<std::vector<std::uint32_t>>& adjacency) const {

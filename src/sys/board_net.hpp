@@ -36,10 +36,6 @@ public:
   [[nodiscard]] core::BoardTopology topology() const { return topology_; }
   [[nodiscard]] const InterBoardLinkConfig& link() const { return link_; }
 
-  /// Topology neighbors of `board` (dead links removed), ascending.
-  [[nodiscard]] const std::vector<std::uint32_t>& neighbors(
-      std::uint32_t board) const;
-
   /// Shortest live path src -> dst as the sequence of boards visited
   /// (src first, dst last; src == dst yields {src}). Deterministic:
   /// BFS expanding lowest board id first. `rerouted`, when non-null, is

@@ -15,7 +15,7 @@ namespace hybridic::sys::engine {
 // ---------------------------------------------------------------------------
 
 StepOutcome SoftwareModel::run(const ScheduleStep& step) {
-  const double span = HostOnlyPolicy::span_seconds(step.sw_cycles, period_);
+  const double span = static_cast<double>(step.sw_cycles.count()) * period_;
   StepOutcome outcome;
   outcome.start_seconds = t_;
   outcome.compute_start_seconds = t_;

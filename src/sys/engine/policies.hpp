@@ -1,10 +1,10 @@
-// FabricPolicy: the engine's pluggable data-movement implementations. A
-// variant model walks the schedule; every byte it moves goes through one
-// of these policies, which time the movement on the simulated fabric (or
-// the analytic model where that is the right fidelity) and record typed
-// events into the run's ExecTrace.
+// Fabric policies: the engine's data-movement implementations. A variant
+// model walks the schedule; every byte it moves goes through one of these
+// policies, which time the movement on the simulated fabric (or the
+// analytic model where that is the right fidelity) and record typed events
+// into the run's ExecTrace. Host-only work moves nothing: the variant
+// models time it on the host clock themselves.
 //
-//  - HostOnlyPolicy:     everything stays software on the host.
 //  - BusDmaPolicy:       PLB bus + DMA block transfers (host traffic and
 //                        the fallback for unreachable kernel pairs).
 //  - SharedMemoryPolicy: zero-copy shared local memories, optionally
@@ -35,37 +35,11 @@
 
 namespace hybridic::sys::engine {
 
-class FabricPolicy {
-public:
-  virtual ~FabricPolicy() = default;
-  [[nodiscard]] virtual Fabric fabric() const = 0;
-};
-
-/// The pure-software fabric: work spans on the host clock; nothing moves.
-class HostOnlyPolicy : public FabricPolicy {
-public:
-  [[nodiscard]] Fabric fabric() const override { return Fabric::kHost; }
-
-  /// Host span in the event-driven (integer picosecond) domain.
-  [[nodiscard]] static Picoseconds span(const sim::ClockDomain& host,
-                                        Cycles cycles) {
-    return host.span(cycles);
-  }
-  /// Host span in the double-seconds domain (the SW reference and the
-  /// analytic pipelined model accumulate in doubles).
-  [[nodiscard]] static double span_seconds(Cycles cycles,
-                                           double period_seconds) {
-    return static_cast<double>(cycles.count()) * period_seconds;
-  }
-};
-
 /// PLB bus + DMA block transfers.
-class BusDmaPolicy : public FabricPolicy {
+class BusDmaPolicy {
 public:
   BusDmaPolicy(ExecContext& ctx, ExecTrace* trace)
       : ctx_(&ctx), trace_(trace) {}
-
-  [[nodiscard]] Fabric fabric() const override { return Fabric::kBus; }
 
   /// SDRAM -> `bram` block fetch at (or after) `when`.
   void fetch(std::uint32_t step, std::string label, Picoseconds when,
@@ -87,13 +61,9 @@ private:
 
 /// Zero-copy shared local memory: the consumer's input is resident when
 /// the producer finishes writing it (or half-way through, streamed).
-class SharedMemoryPolicy : public FabricPolicy {
+class SharedMemoryPolicy {
 public:
   explicit SharedMemoryPolicy(ExecTrace* trace) : trace_(trace) {}
-
-  [[nodiscard]] Fabric fabric() const override {
-    return Fabric::kSharedMemory;
-  }
 
   /// §IV-A3 case-2 gate: a streamed consumer may start once the first half
   /// of its input exists — half the overlap window before the producer
@@ -149,12 +119,10 @@ struct NocSendOp {
 };
 
 /// The wormhole mesh NoC.
-class NocPolicy : public FabricPolicy {
+class NocPolicy {
 public:
   NocPolicy(ExecContext& ctx, ExecTrace* trace)
       : ctx_(&ctx), trace_(trace) {}
-
-  [[nodiscard]] Fabric fabric() const override { return Fabric::kNoc; }
 
   /// Schedule a flit-level message send at (or after) `when`; `send.op`
   /// completes when the last flit lands, then `send.on_delivered` runs
@@ -177,11 +145,9 @@ private:
 
 /// The full-crossbar comparison fabric: every kernel's port A reaches
 /// every other kernel's local memory; same-target writes serialize.
-class CrossbarPolicy : public FabricPolicy {
+class CrossbarPolicy {
 public:
   CrossbarPolicy(ExecContext& ctx, ExecTrace* trace);
-
-  [[nodiscard]] Fabric fabric() const override { return Fabric::kCrossbar; }
 
   /// Stream `bytes` from kernel `source` into kernel `target`'s local
   /// memory starting at `start`; returns the port-level completion time.
@@ -202,12 +168,10 @@ private:
 /// link serialize deterministically. Dead links reroute per the
 /// BoardNetwork (ring/mesh); each rerouted (src, dst) board pair is
 /// annotated once and counted.
-class InterBoardLinkPolicy : public FabricPolicy {
+class InterBoardLinkPolicy {
 public:
   InterBoardLinkPolicy(const BoardNetwork& net, ExecTrace* trace)
       : net_(&net), trace_(trace) {}
-
-  [[nodiscard]] Fabric fabric() const override { return Fabric::kInterBoard; }
 
   /// Move `bytes` from board `src` to board `dst`, ready to leave at
   /// `ready`; returns the arrival time at the destination board. Records

@@ -1,9 +1,9 @@
 // Executors: replay an application schedule on a platform variant and
 // measure where the time goes. All variants are thin configurations of the
 // shared execution engine (sys/engine/): a ScheduleWalker replays the
-// schedule through a VariantModel whose data movement goes through
-// FabricPolicy implementations, producing both the per-step timings and a
-// structured ExecTrace.
+// schedule through a VariantModel whose data movement goes through the
+// fabric policies (sys/engine/policies.hpp), producing both the per-step
+// timings and a structured ExecTrace.
 //
 //  - run_software: everything on the 400 MHz host (the paper's SW column).
 //  - run_baseline: the conventional bus-based accelerator (§III-A): per

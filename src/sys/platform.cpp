@@ -12,9 +12,7 @@ Platform::Platform(PlatformConfig config, std::size_t instance_count,
       bus_clock_("bus", config.bus_clock),
       noc_clock_("noc", config.noc_clock) {
   sdram_ = std::make_unique<mem::Sdram>("sdram", bus_clock_, config.sdram);
-  bus_ = std::make_unique<bus::Bus>(
-      "plb", engine_, bus_clock_, config.bus,
-      std::make_unique<bus::PriorityArbiter>());
+  bus_ = std::make_unique<bus::Bus>("plb", engine_, bus_clock_, config.bus);
   dma_ = std::make_unique<bus::Dma>("dma", engine_, *bus_, *sdram_, host_,
                                     config.dma, /*bus_master=*/1);
   for (std::size_t i = 0; i < instance_count; ++i) {

@@ -20,7 +20,6 @@
 #include "faults/fault_spec.hpp"
 #include "faults/injector.hpp"
 #include "mem/bram.hpp"
-#include "mem/crossbar.hpp"
 #include "mem/sdram.hpp"
 #include "noc/network.hpp"
 #include "sim/clock.hpp"

@@ -7,20 +7,11 @@
 
 #include "core/kernel_model.hpp"
 #include "noc/flit.hpp"
+#include "noc/routing.hpp"
 #include "sys/board_net.hpp"
 #include "sys/multi_board.hpp"
 
 namespace hybridic::tiers {
-namespace {
-
-/// ESWN direction of one mesh step (matching the router port order).
-enum : std::uint64_t { kEast = 0, kSouth = 1, kWest = 2, kNorth = 3 };
-
-HopAccount::LinkId link_id(std::uint32_t node, std::uint64_t dir) {
-  return static_cast<std::uint64_t>(node) * 4 + dir;
-}
-
-}  // namespace
 
 HopAccount& HopAccount::operator+=(const HopAccount& other) {
   for (const auto& [link, bytes] : other.link_bytes_) {
@@ -40,22 +31,17 @@ HopAccount& HopAccount::operator*=(std::uint64_t batch) {
 
 void HopAccount::add_route(const noc::Mesh2D& mesh, std::uint32_t src,
                            std::uint32_t dst, std::uint64_t bytes) {
-  // XY routing: resolve the X offset first, then the Y offset — the same
-  // dimension order the flit-level router uses, so link loads line up
-  // with what the simulator would congest.
-  noc::Coord at = mesh.coord_of(src);
+  // Step with the flit-level router's own routing decision, so link loads
+  // line up with what the simulator would congest.
   const noc::Coord to = mesh.coord_of(dst);
-  while (at.x != to.x) {
-    const std::uint64_t dir = at.x < to.x ? kEast : kWest;
-    link_bytes_[link_id(mesh.id_of(at), dir)] += bytes;
-    at.x = at.x < to.x ? at.x + 1 : at.x - 1;
+  std::uint32_t at = src;
+  for (noc::PortDir dir = noc::xy_route(mesh.coord_of(at), to);
+       dir != noc::PortDir::kLocal;
+       dir = noc::xy_route(mesh.coord_of(at), to)) {
+    link_bytes_[static_cast<LinkId>(at) * 4 + static_cast<LinkId>(dir)] +=
+        bytes;
     total_ += bytes;
-  }
-  while (at.y != to.y) {
-    const std::uint64_t dir = at.y < to.y ? kNorth : kSouth;
-    link_bytes_[link_id(mesh.id_of(at), dir)] += bytes;
-    at.y = at.y < to.y ? at.y + 1 : at.y - 1;
-    total_ += bytes;
+    at = *mesh.neighbor(at, dir);
   }
 }
 

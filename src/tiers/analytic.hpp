@@ -31,7 +31,7 @@ namespace hybridic::tiers {
 /// without re-walking any route.
 class HopAccount {
 public:
-  /// Directed link leaving `node` towards `dir` (ESWN = 0..3).
+  /// Directed link leaving `node` towards `dir`: node * 4 + PortDir.
   using LinkId = std::uint64_t;
 
   HopAccount& operator+=(const HopAccount& other);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "util/error.hpp"
 
 namespace hybridic::bus {
@@ -18,8 +16,7 @@ protected:
   DmaTest()
       : sdram_("sdram", kBusClock, mem::SdramConfig{8, Cycles{20}}),
         bus_("plb", engine_, kBusClock, BusConfig{8, 16, Cycles{2},
-                                                  Cycles{1}, 2},
-             std::make_unique<PriorityArbiter>()),
+                                                  Cycles{1}, 2}),
         dma_("dma", engine_, bus_, sdram_, kHostClock,
              DmaConfig{Cycles{40}, 1024}, 1),
         bram_("bram", kKernelClock, Bytes{64 * 1024}, 4) {}
@@ -79,8 +76,7 @@ TEST_F(DmaTest, LargerTransfersTakeLonger) {
       run_transfer(DmaDirection::kMemToLocal, Bytes{256});
   sim::Engine fresh;  // A clean timeline for the larger transfer.
   mem::Sdram sdram{"s", kBusClock, mem::SdramConfig{8, Cycles{20}}};
-  Bus bus{"b", fresh, kBusClock, BusConfig{8, 16, Cycles{2}, Cycles{1}, 2},
-          std::make_unique<PriorityArbiter>()};
+  Bus bus{"b", fresh, kBusClock, BusConfig{8, 16, Cycles{2}, Cycles{1}, 2}};
   Dma dma{"d", fresh, bus, sdram, kHostClock, DmaConfig{Cycles{40}, 1024},
           1};
   mem::Bram bram{"m", kKernelClock, Bytes{64 * 1024}, 4};
@@ -119,8 +115,7 @@ TEST_F(DmaTest, CountsStartedTransfers) {
 TEST(DmaConfigValidation, ZeroChunkRejected) {
   sim::Engine engine;
   mem::Sdram sdram{"s", kBusClock, mem::SdramConfig{}};
-  Bus bus{"b", engine, kBusClock, BusConfig{},
-          std::make_unique<PriorityArbiter>()};
+  Bus bus{"b", engine, kBusClock, BusConfig{}};
   EXPECT_THROW(Dma("d", engine, bus, sdram, kHostClock,
                    DmaConfig{Cycles{1}, 0}, 0),
                ConfigError);

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -275,8 +274,7 @@ TEST(BusFaults, RetryBudgetSpentThenChunksAcceptedCorrupt) {
   sim::Engine engine;
   mem::Sdram sdram{"sdram", bus_clock, mem::SdramConfig{8, Cycles{20}}};
   bus::Bus bus{"plb", engine, bus_clock,
-               bus::BusConfig{8, 16, Cycles{2}, Cycles{1}, 2},
-               std::make_unique<bus::PriorityArbiter>()};
+               bus::BusConfig{8, 16, Cycles{2}, Cycles{1}, 2}};
   bus::Dma dma{"dma", engine, bus, sdram, host_clock,
                bus::DmaConfig{Cycles{40}, 1024}, 1};
   mem::Bram bram{"bram", kernel_clock, Bytes{64 * 1024}, 4};
@@ -310,8 +308,7 @@ TEST(BusFaults, StallsDelayGrantsDeterministically) {
     sim::Engine engine;
     mem::Sdram sdram{"sdram", bus_clock, mem::SdramConfig{8, Cycles{20}}};
     bus::Bus bus{"plb", engine, bus_clock,
-                 bus::BusConfig{8, 16, Cycles{2}, Cycles{1}, 2},
-                 std::make_unique<bus::PriorityArbiter>()};
+                 bus::BusConfig{8, 16, Cycles{2}, Cycles{1}, 2}};
     bus::Dma dma{"dma", engine, bus, sdram, host_clock,
                  bus::DmaConfig{Cycles{40}, 1024}, 1};
     mem::Bram bram{"bram", kernel_clock, Bytes{64 * 1024}, 4};

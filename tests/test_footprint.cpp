@@ -1,8 +1,7 @@
 // Tests of the profiler's memory-footprint analysis (QUAD's flat memory
-// profile) and of the WestFirst routing extension.
+// profile).
 #include <gtest/gtest.h>
 
-#include "noc/routing.hpp"
 #include "prof/quad.hpp"
 #include "util/error.hpp"
 
@@ -63,59 +62,6 @@ TEST(Footprint, MemoryReportListsAllFunctions) {
   EXPECT_NE(report.find("beta"), std::string::npos);
   EXPECT_NE(report.find("16"), std::string::npos);
   EXPECT_NE(report.find("7"), std::string::npos);
-}
-
-TEST(WestFirst, AllWestHopsComeFirst) {
-  const noc::Mesh2D mesh{5, 5};
-  const noc::WestFirstRouting wf;
-  // From (4,0) to (0,4): must move west four times before any north hop.
-  std::uint32_t current = mesh.id_of({4, 0});
-  const std::uint32_t dest = mesh.id_of({0, 4});
-  int west_hops = 0;
-  while (wf.route(mesh, current, dest) == noc::PortDir::kWest) {
-    current = *mesh.neighbor(current, noc::PortDir::kWest);
-    ++west_hops;
-  }
-  EXPECT_EQ(west_hops, 4);
-  EXPECT_EQ(wf.route(mesh, current, dest), noc::PortDir::kNorth);
-}
-
-TEST(WestFirst, EastboundCorrectsYFirst) {
-  const noc::Mesh2D mesh{5, 5};
-  const noc::WestFirstRouting wf;
-  // From (0,0) to (3,2): north first, then east.
-  EXPECT_EQ(wf.route(mesh, mesh.id_of({0, 0}), mesh.id_of({3, 2})),
-            noc::PortDir::kNorth);
-  EXPECT_EQ(wf.route(mesh, mesh.id_of({0, 2}), mesh.id_of({3, 2})),
-            noc::PortDir::kEast);
-}
-
-TEST(WestFirst, NeverTurnsIntoWestAfterLeavingIt) {
-  // Turn-model property: once a packet has made a non-west move, the
-  // route function never returns west again along the remaining path.
-  const noc::Mesh2D mesh{6, 6};
-  const noc::WestFirstRouting wf;
-  for (std::uint32_t src = 0; src < mesh.node_count(); ++src) {
-    for (std::uint32_t dst = 0; dst < mesh.node_count(); ++dst) {
-      std::uint32_t current = src;
-      bool left_west_phase = false;
-      while (current != dst) {
-        const noc::PortDir dir = wf.route(mesh, current, dst);
-        if (dir == noc::PortDir::kWest) {
-          ASSERT_FALSE(left_west_phase)
-              << "west turn after non-west move, " << src << "->" << dst;
-        } else {
-          left_west_phase = true;
-        }
-        current = *mesh.neighbor(current, dir);
-      }
-    }
-  }
-}
-
-TEST(WestFirst, RegisteredInFactory) {
-  EXPECT_EQ(noc::make_routing("WestFirst")->name(), "WestFirst");
-  EXPECT_EQ(noc::make_routing("WF")->name(), "WestFirst");
 }
 
 }  // namespace

@@ -168,7 +168,6 @@ TEST(Network, StatsCountEjectedFlits) {
   f.engine.run();
   // 400 bytes = 100 payload flits + 2 head flits (256-byte packets).
   EXPECT_EQ(f.network.stats().flits_ejected, 102U);
-  EXPECT_GT(f.network.stats().flit_latency_seconds.mean(), 0.0);
 }
 
 TEST(Network, IdealLatencyMonotoneInSizeAndHops) {

@@ -1,53 +1,12 @@
-// Remaining coverage: the logging facility and the Platform assembly.
+// Platform assembly: the measured bus theta and the per-design fabrics.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "core/interconnect_design.hpp"
 #include "sys/experiment.hpp"
 #include "sys/platform.hpp"
-#include "util/log.hpp"
 
 namespace hybridic {
 namespace {
-
-class CapturedClog {
-public:
-  CapturedClog() : old_(std::clog.rdbuf(buffer_.rdbuf())) {}
-  ~CapturedClog() { std::clog.rdbuf(old_); }
-  [[nodiscard]] std::string text() const { return buffer_.str(); }
-
-private:
-  std::ostringstream buffer_;
-  std::streambuf* old_;
-};
-
-TEST(Log, SilentByDefault) {
-  log_level() = LogLevel::kSilent;
-  CapturedClog capture;
-  log_info("should not appear");
-  log_debug("nor this");
-  EXPECT_TRUE(capture.text().empty());
-}
-
-TEST(Log, LevelsFilter) {
-  log_level() = LogLevel::kInfo;
-  {
-    CapturedClog capture;
-    log_info("visible ", 42);
-    log_debug("hidden");
-    EXPECT_NE(capture.text().find("[info ] visible 42"),
-              std::string::npos);
-    EXPECT_EQ(capture.text().find("hidden"), std::string::npos);
-  }
-  log_level() = LogLevel::kTrace;
-  {
-    CapturedClog capture;
-    log_trace("deep");
-    EXPECT_NE(capture.text().find("[trace] deep"), std::string::npos);
-  }
-  log_level() = LogLevel::kSilent;
-}
 
 TEST(Platform, MeasuredThetaMatchesSingleBeatModel) {
   sys::PlatformConfig config;  // 32-bit single-beat PLB.

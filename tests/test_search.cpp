@@ -109,18 +109,20 @@ TEST(Search, EveryMovePlusInverseRestoresTheCongruenceSignature) {
         search::legal_moves(problem, start);
     ASSERT_FALSE(moves.empty()) << seed;
     for (const search::Move& move : moves) {
+      SCOPED_TRACE(::testing::Message()
+                   << "move kind " << static_cast<int>(move.kind)
+                   << " target " << move.target);
       search::SearchVars walked = start;
       search::apply_move(walked, move);
-      EXPECT_FALSE(walked == start) << search::to_string(move);
+      EXPECT_FALSE(walked == start);
       search::apply_move(walked, search::inverse(move));
-      EXPECT_TRUE(walked == start) << search::to_string(move);
+      EXPECT_TRUE(walked == start);
       EXPECT_EQ(tiers::congruence_signature(
                     p.schedule,
                     core::build_design(p.input,
                                        search::to_decisions(problem, walked)),
                     p.input.theta.seconds_per_byte),
-                start_signature)
-          << search::to_string(move);
+                start_signature);
     }
   }
 }

@@ -68,42 +68,21 @@ TEST(PortDirTest, OppositeIsInvolution) {
   EXPECT_EQ(opposite(PortDir::kEast), PortDir::kWest);
 }
 
-TEST(RoutingFactory, KnownAndUnknownNames) {
-  EXPECT_EQ(make_routing("XY")->name(), "XY");
-  EXPECT_EQ(make_routing("yx")->name(), "YX");
-  EXPECT_THROW((void)make_routing("adaptive"), ConfigError);
-}
-
 TEST(XyRoutingTest, CorrectsXFirst) {
-  const Mesh2D mesh{4, 4};
-  XyRouting xy;
   // From (0,0) to (2,2): go east first.
-  EXPECT_EQ(xy.route(mesh, mesh.id_of({0, 0}), mesh.id_of({2, 2})),
-            PortDir::kEast);
+  EXPECT_EQ(xy_route({0, 0}, {2, 2}), PortDir::kEast);
   // Same column: go north.
-  EXPECT_EQ(xy.route(mesh, mesh.id_of({2, 0}), mesh.id_of({2, 2})),
-            PortDir::kNorth);
+  EXPECT_EQ(xy_route({2, 0}, {2, 2}), PortDir::kNorth);
   // Arrived: eject.
-  EXPECT_EQ(xy.route(mesh, mesh.id_of({2, 2}), mesh.id_of({2, 2})),
-            PortDir::kLocal);
+  EXPECT_EQ(xy_route({2, 2}, {2, 2}), PortDir::kLocal);
   // Westward and southward.
-  EXPECT_EQ(xy.route(mesh, mesh.id_of({3, 3}), mesh.id_of({1, 3})),
-            PortDir::kWest);
-  EXPECT_EQ(xy.route(mesh, mesh.id_of({1, 3}), mesh.id_of({1, 0})),
-            PortDir::kSouth);
+  EXPECT_EQ(xy_route({3, 3}, {1, 3}), PortDir::kWest);
+  EXPECT_EQ(xy_route({1, 3}, {1, 0}), PortDir::kSouth);
 }
 
-TEST(YxRoutingTest, CorrectsYFirst) {
-  const Mesh2D mesh{4, 4};
-  YxRouting yx;
-  EXPECT_EQ(yx.route(mesh, mesh.id_of({0, 0}), mesh.id_of({2, 2})),
-            PortDir::kNorth);
-  EXPECT_EQ(yx.route(mesh, mesh.id_of({0, 2}), mesh.id_of({2, 2})),
-            PortDir::kEast);
-}
-
-/// Property: following the routing function from any source reaches any
-/// destination in exactly the Manhattan distance number of hops.
+/// Property: following a routing decision from any source reaches any
+/// destination in exactly the Manhattan distance number of hops — XY
+/// routing, and the fault-aware BFS next hops on a mesh with no dead link.
 class RoutingWalk
     : public ::testing::TestWithParam<std::tuple<std::string, std::uint32_t,
                                                  std::uint32_t>> {};
@@ -111,13 +90,17 @@ class RoutingWalk
 TEST_P(RoutingWalk, ReachesDestinationInMinimalHops) {
   const auto& [name, w, h] = GetParam();
   const Mesh2D mesh{w, h};
-  const auto routing = make_routing(name);
+  const LinkState intact{mesh, {}};
+  const auto route = [&](std::uint32_t at, std::uint32_t dst) {
+    return name == "XY" ? xy_route(mesh.coord_of(at), mesh.coord_of(dst))
+                        : *intact.next_hop(at, dst);
+  };
   for (std::uint32_t src = 0; src < mesh.node_count(); ++src) {
     for (std::uint32_t dst = 0; dst < mesh.node_count(); ++dst) {
       std::uint32_t current = src;
       std::uint32_t hops = 0;
       while (true) {
-        const PortDir dir = routing->route(mesh, current, dst);
+        const PortDir dir = route(current, dst);
         if (dir == PortDir::kLocal) {
           break;
         }
@@ -136,8 +119,7 @@ TEST_P(RoutingWalk, ReachesDestinationInMinimalHops) {
 INSTANTIATE_TEST_SUITE_P(
     MeshSweep, RoutingWalk,
     ::testing::Combine(::testing::Values(std::string{"XY"},
-                                         std::string{"YX"},
-                                         std::string{"WestFirst"}),
+                                         std::string{"BFS"}),
                        ::testing::Values(1U, 2U, 3U, 5U),
                        ::testing::Values(1U, 2U, 4U)));
 
