@@ -2,6 +2,7 @@
 // and simulation throughput across mesh sizes and payloads.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -73,6 +74,37 @@ void BM_NocAllToAll(benchmark::State& state) {
                           state.range(0) * (state.range(0) * state.range(0) - 1));
 }
 BENCHMARK(BM_NocAllToAll)->Arg(2)->Arg(3)->Arg(4);
+
+// The cycle sweep's traffic shape: several messages in flight at once,
+// converging on one sink that ejects about one flit per cycle. Items are
+// ejected flits, so items_per_second is the NoC's flits/s.
+void BM_NocHotspot(benchmark::State& state) {
+  constexpr std::uint32_t kSink = 5;
+  std::int64_t flits = 0;
+  for (auto _ : state) {
+    sim::Engine engine;
+    noc::Network network{"noc", engine, kNocClock, noc::Mesh2D{4, 4},
+                         noc::NetworkConfig{}};
+    network.attach_adapter(kSink, "sink", noc::AdapterKind::kLocalMemory);
+    Picoseconds last{0};
+    for (const std::uint32_t source : {0U, 3U, 12U, 15U}) {
+      std::string name = "src";
+      name += std::to_string(source);
+      network.attach_adapter(source, std::move(name),
+                             noc::AdapterKind::kAccelerator);
+      network.send(source, kSink, Bytes{16384},
+                   [&last](std::uint64_t, Bytes, Picoseconds at) {
+                     last = std::max(last, at);
+                   });
+    }
+    engine.run();
+    benchmark::DoNotOptimize(last);
+    flits += static_cast<std::int64_t>(network.stats().flits_ejected);
+    state.counters["sim_latency_us"] = last.microseconds();
+  }
+  state.SetItemsProcessed(flits);
+}
+BENCHMARK(BM_NocHotspot);
 
 }  // namespace
 

@@ -5,7 +5,8 @@
 // memory" (60/114), which only sinks packets into a BRAM port. Functionally
 // an adapter:
 //  - splits an outgoing message into packets of bounded payload,
-//  - injects one flit per NoC cycle into the local router port,
+//  - injects one flit per NoC cycle into the local router port, built at
+//    injection from one queued descriptor per message,
 //  - reassembles incoming packets and fires a delivery callback when the
 //    whole message has arrived.
 //
@@ -52,8 +53,8 @@ public:
   Adapter(std::string name, std::uint32_t node, AdapterKind kind,
           std::uint32_t max_packet_payload_bytes);
 
-  /// Packetize `bytes` for `message_id` towards `destination` into the
-  /// transmit queue. Called by the Network.
+  /// Queue `bytes` for `message_id` towards `destination`, reserving the
+  /// ids of all its packets. Called by the Network.
   void enqueue_message(std::uint32_t destination, std::uint64_t message_id,
                        Bytes bytes);
 
@@ -62,11 +63,11 @@ public:
   void expect_message(std::uint64_t message_id, Bytes bytes,
                       DeliveryCallback on_delivered);
 
-  /// Next flit to inject this cycle, if any (does not consume).
-  [[nodiscard]] const Flit* pending_flit() const;
+  /// True while a flit waits to be injected.
+  [[nodiscard]] bool has_pending() const { return !tx_queue_.empty(); }
 
-  /// Consume the flit returned by pending_flit(), stamping injection time.
-  Flit consume_pending(Picoseconds now);
+  /// Build and consume the next flit to inject; one must be pending.
+  Flit consume_pending();
 
   /// Sink a flit ejected at this node. Fires the registered delivery
   /// callback when the final payload flit of a message lands.
@@ -99,10 +100,10 @@ public:
   [[nodiscard]] std::uint64_t flits_injected() const {
     return flits_injected_;
   }
-  [[nodiscard]] std::size_t tx_backlog() const { return tx_queue_.size(); }
 
 private:
   struct Reassembly {
+    std::uint64_t message_id = 0;
     std::uint64_t expected_payload_flits = 0;
     std::uint64_t received_payload_flits = 0;
     bool head_tail_seen = false;
@@ -115,17 +116,31 @@ private:
     bool packet_corrupted = false;
   };
 
-  void enqueue_packet(std::uint32_t destination, std::uint64_t message_id,
-                      std::uint64_t packet_id,
-                      std::uint64_t payload_flit_count);
+  /// One queued transmission — a whole message, or one retransmitted
+  /// packet — from which flits are built one at a time at injection.
+  struct TxDescriptor {
+    std::uint64_t message_id = 0;
+    std::uint64_t packet_id = 0;     ///< Packet now being injected.
+    std::uint64_t bytes_left = 0;    ///< Payload bytes of later packets.
+    std::uint32_t destination = 0;
+    std::uint32_t packet_flits = 0;  ///< Payload flits of this packet.
+    std::uint32_t sequence = 0;      ///< Index of the next flit in it.
+
+    /// Load the next packet, carrying at most `max_payload` bytes.
+    void next_packet(std::uint32_t max_payload);
+  };
 
   std::string name_;
   std::uint32_t node_;
   AdapterKind kind_;
   std::uint32_t max_packet_payload_bytes_;
 
-  std::deque<Flit> tx_queue_;
+  std::deque<TxDescriptor> tx_queue_;
   std::unordered_map<std::uint64_t, Reassembly> rx_;
+  /// Reassembly of the packet now arriving. The local output of this
+  /// node's router stays locked from a packet's head to its tail, so its
+  /// flits eject back to back and only head flits look the message up.
+  Reassembly* rx_current_ = nullptr;
 
   std::uint64_t messages_sent_ = 0;
   std::uint64_t messages_received_ = 0;

@@ -21,9 +21,8 @@ struct Flit {
   std::uint64_t message_id = 0;  ///< Messages may span several packets.
   std::uint32_t source = 0;      ///< Source node id.
   std::uint32_t destination = 0; ///< Destination node id.
-  FlitKind kind = FlitKind::kHead;
   std::uint32_t sequence = 0;    ///< Flit index within the packet.
-  std::uint64_t injected_at_ps = 0;  ///< For latency statistics.
+  FlitKind kind = FlitKind::kHead;
   bool corrupted = false;        ///< Set by fault injection in transit.
 
   [[nodiscard]] bool is_head() const {
@@ -42,6 +41,15 @@ inline constexpr std::uint32_t kFlitPayloadBytes = 4;
   return (bytes + kFlitPayloadBytes - 1) / kFlitPayloadBytes;
 }
 
+/// Packets a `bytes` message is split into: a zero-byte message still
+/// sends one header-only packet.
+[[nodiscard]] constexpr std::uint64_t packet_count(
+    std::uint64_t bytes, std::uint32_t max_packet_payload_bytes) {
+  return bytes == 0
+             ? 1
+             : (bytes + max_packet_payload_bytes - 1) / max_packet_payload_bytes;
+}
+
 /// Idle-network latency oracle, in NoC cycles: the time for a `bytes`
 /// message to fully arrive `hops` hops away on an otherwise idle network.
 /// Serialization (payload flits plus one head flit per packet) plus the
@@ -52,11 +60,8 @@ inline constexpr std::uint32_t kFlitPayloadBytes = 4;
 [[nodiscard]] constexpr std::uint64_t idle_latency_cycles(
     std::uint64_t bytes, std::uint32_t hops,
     std::uint32_t max_packet_payload_bytes, std::uint32_t pipeline_cycles) {
-  const std::uint64_t packets =
-      bytes == 0
-          ? 1
-          : (bytes + max_packet_payload_bytes - 1) / max_packet_payload_bytes;
-  return payload_flits(bytes) + packets +
+  return payload_flits(bytes) +
+         packet_count(bytes, max_packet_payload_bytes) +
          static_cast<std::uint64_t>(pipeline_cycles) * (hops + 1);
 }
 

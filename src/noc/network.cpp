@@ -17,11 +17,19 @@ Network::Network(std::string name, sim::Engine& engine,
       clock_(&clock),
       mesh_(mesh),
       config_(config),
+      coords_(mesh.node_count()),
+      neighbors_(mesh.node_count()),
+      hop_span_(clock.span(Cycles{config.router.pipeline_cycles})),
       adapters_(mesh.node_count()),
       in_route_(mesh.node_count()) {
   routers_.reserve(mesh_.node_count());
   for (std::uint32_t id = 0; id < mesh_.node_count(); ++id) {
     routers_.emplace_back(id, config_.router);
+    coords_[id] = mesh_.coord_of(id);
+    for (std::uint32_t port = 0; port < neighbors_[id].size(); ++port) {
+      neighbors_[id][port] =
+          mesh_.neighbor(id, static_cast<PortDir>(port)).value_or(kNoNeighbor);
+    }
   }
   ticking_handle_ = engine_->add_ticking(*this, clock);
 }
@@ -101,7 +109,7 @@ PortDir Network::route_from(std::uint32_t node, const Flit& flit) const {
                "links (send-side reachability check missed it)");
     return *hop;
   }
-  return xy_route(mesh_.coord_of(node), mesh_.coord_of(flit.destination));
+  return xy_route(coords_[node], coords_[flit.destination]);
 }
 
 void Network::maybe_corrupt(Flit& flit, std::uint32_t node,
@@ -230,18 +238,17 @@ bool Network::tick(Picoseconds now) {
   }
   for (const std::uint32_t node : adapter_nodes_) {
     Adapter& adapter_ref = *adapters_[node];
-    if (adapter_ref.pending_flit() == nullptr) {
+    if (!adapter_ref.has_pending()) {
       continue;
     }
     Router& local_router = routers_[node];
     if (local_router.can_accept(PortDir::kLocal)) {
-      Flit flit = adapter_ref.consume_pending(now);
+      Flit flit = adapter_ref.consume_pending();
       if (faults_ != nullptr) {
         maybe_corrupt(flit, node, now);
       }
       local_router.accept(
-          PortDir::kLocal, flit,
-          now + clock_->span(Cycles{config_.router.pipeline_cycles}),
+          PortDir::kLocal, flit, now + hop_span_,
           flit.is_head() ? route_from(node, flit) : PortDir::kLocal);
     }
   }
@@ -249,21 +256,32 @@ bool Network::tick(Picoseconds now) {
 }
 
 void Network::move_router_flits(Router& router_ref, Picoseconds now) {
-  std::array<bool, kPortCount> input_moved{};
-  auto& routes = in_route_[router_ref.id()];
+  const std::uint32_t node = router_ref.id();
+  auto& routes = in_route_[node];
 
-  // One readiness/routing probe per input per tick; every output considered
-  // this tick shares the probes instead of re-walking the input buffers.
-  std::array<const Flit*, kPortCount> fronts{};
-  std::array<PortDir, kPortCount> head_route{};
+  // One readiness snapshot per tick: the inputs holding a ready flit, and
+  // per output the inputs whose ready HEAD flit routes there (and which of
+  // those heads are single-flit packets).
+  std::uint32_t ready = 0;
+  std::uint32_t head_tails = 0;
+  std::array<std::uint32_t, kPortCount> heads_to{};
   for (std::uint32_t in_idx = 0; in_idx < kPortCount; ++in_idx) {
     const auto in = static_cast<PortDir>(in_idx);
-    fronts[in_idx] = router_ref.ready_front(in, now);
-    if (fronts[in_idx] != nullptr && fronts[in_idx]->is_head()) {
-      head_route[in_idx] = router_ref.front_route(in);
+    const Flit* front = router_ref.ready_front(in, now);
+    if (front == nullptr) {
+      continue;
+    }
+    ready |= 1U << in_idx;
+    if (front->is_head()) {
+      heads_to[static_cast<std::size_t>(router_ref.front_route(in))] |=
+          1U << in_idx;
+      if (front->is_tail()) {
+        head_tails |= 1U << in_idx;
+      }
     }
   }
 
+  std::uint32_t moved = 0;
   for (std::uint32_t out_idx = 0; out_idx < kPortCount; ++out_idx) {
     const auto out = static_cast<PortDir>(out_idx);
 
@@ -271,44 +289,34 @@ void Network::move_router_flits(Router& router_ref, Picoseconds now) {
       // Wormhole continuation: only the owning input may use this output.
       const PortDir in = router_ref.lock_owner(out);
       const auto in_idx = static_cast<std::size_t>(in);
-      if (input_moved[in_idx] || fronts[in_idx] == nullptr) {
+      const std::uint32_t bit = 1U << in_idx;
+      if ((ready & ~moved & bit) == 0) {
         continue;
       }
       sim_assert(routes[in_idx] == out,
                  "locked output does not match input route state");
-      if (try_forward(router_ref, out, in, now)) {
-        input_moved[in_idx] = true;
+      if (forward(node, out, in, now)) {
+        moved |= bit;
       }
       continue;
     }
 
     // Free output: arbitrate among input ports whose ready HEAD flit routes
-    // here and whose downstream can take a flit right now.
-    std::array<bool, kPortCount> candidates{};
-    bool any = false;
-    for (std::uint32_t in_idx = 0; in_idx < kPortCount; ++in_idx) {
-      if (input_moved[in_idx]) {
-        continue;
-      }
-      const Flit* front = fronts[in_idx];
-      if (front == nullptr || !front->is_head() ||
-          head_route[in_idx] != out) {
-        continue;
-      }
-      candidates[in_idx] = true;
-      any = true;
-    }
-    if (!any) {
+    // here, and only when the downstream can take a flit right now, so a
+    // blocked winner does not burn the grant.
+    const std::uint32_t waiting = heads_to[out_idx] & ~moved;
+    if (waiting == 0) {
       continue;
     }
-    // Filter candidates by downstream space before arbitration so a blocked
-    // winner does not burn the grant.
     if (out != PortDir::kLocal) {
-      const auto neighbor_id = mesh_.neighbor(router_ref.id(), out);
-      if (!neighbor_id.has_value() ||
-          !routers_[*neighbor_id].can_accept(opposite(out))) {
+      const std::uint32_t next = neighbors_[node][out_idx];
+      if (next == kNoNeighbor || !routers_[next].can_accept(opposite(out))) {
         continue;
       }
+    }
+    std::array<bool, kPortCount> candidates{};
+    for (std::uint32_t in_idx = 0; in_idx < kPortCount; ++in_idx) {
+      candidates[in_idx] = (waiting >> in_idx & 1U) != 0;
     }
     const std::optional<PortDir> winner =
         router_ref.arbitrate(out, candidates);
@@ -316,60 +324,45 @@ void Network::move_router_flits(Router& router_ref, Picoseconds now) {
       continue;
     }
     const auto win_idx = static_cast<std::size_t>(*winner);
-    const Flit* head = fronts[win_idx];
-    sim_assert(head != nullptr && head->is_head(), "arbitration state skew");
+    sim_assert((waiting >> win_idx & 1U) != 0, "arbitration state skew");
     routes[win_idx] = out;
-    if (!head->is_tail()) {
+    if ((head_tails >> win_idx & 1U) == 0) {
       router_ref.lock_output(out, *winner);
     }
-    if (try_forward(router_ref, out, *winner, now)) {
-      input_moved[win_idx] = true;
+    if (forward(node, out, *winner, now)) {
+      moved |= 1U << win_idx;
     }
   }
 }
 
-bool Network::try_forward(Router& router_ref, PortDir out, PortDir in,
-                          Picoseconds now) {
-  const Flit* front = router_ref.ready_front(in, now);
-  if (front == nullptr) {
-    return false;
-  }
-  if (out == PortDir::kLocal) {
-    const Flit flit = router_ref.pop(in);
-    router_ref.count_forward();
-    if (flit.is_tail()) {
-      if (router_ref.output_locked(out) &&
-          router_ref.lock_owner(out) == in) {
-        router_ref.unlock_output(out);
-      }
-      in_route_[router_ref.id()][static_cast<std::size_t>(in)].reset();
+bool Network::forward(std::uint32_t node, PortDir out, PortDir in,
+                      Picoseconds now) {
+  Router& router_ref = routers_[node];
+  std::uint32_t next_id = kNoNeighbor;
+  if (out != PortDir::kLocal) {
+    next_id = neighbors_[node][static_cast<std::size_t>(out)];
+    sim_assert(next_id != kNoNeighbor, "route points off the mesh edge");
+    if (!routers_[next_id].can_accept(opposite(out))) {
+      return false;
     }
-    ++stats_.flits_ejected;
-    Adapter* sink = adapters_[router_ref.id()].get();
-    sim_assert(sink != nullptr, "flit ejected at node without adapter");
-    sink->deliver(flit, now);
-    return true;
-  }
-
-  const auto neighbor_id = mesh_.neighbor(router_ref.id(), out);
-  sim_assert(neighbor_id.has_value(), "route points off the mesh edge");
-  Router& next = routers_[*neighbor_id];
-  const PortDir next_in = opposite(out);
-  if (!next.can_accept(next_in)) {
-    return false;
   }
   const Flit flit = router_ref.pop(in);
-  router_ref.count_forward();
   if (flit.is_tail()) {
     if (router_ref.output_locked(out) && router_ref.lock_owner(out) == in) {
       router_ref.unlock_output(out);
     }
-    in_route_[router_ref.id()][static_cast<std::size_t>(in)].reset();
+    in_route_[node][static_cast<std::size_t>(in)].reset();
   }
-  next.accept(next_in, flit,
-              now + clock_->span(Cycles{config_.router.pipeline_cycles}),
-              flit.is_head() ? route_from(*neighbor_id, flit)
-                             : PortDir::kLocal);
+  if (out == PortDir::kLocal) {
+    ++stats_.flits_ejected;
+    Adapter* sink = adapters_[node].get();
+    sim_assert(sink != nullptr, "flit ejected at node without adapter");
+    sink->deliver(flit, now);
+    return true;
+  }
+  routers_[next_id].accept(
+      opposite(out), flit, now + hop_span_,
+      flit.is_head() ? route_from(next_id, flit) : PortDir::kLocal);
   return true;
 }
 

@@ -97,8 +97,16 @@ public:
   }
 
 private:
-  void move_router_flits(Router& router, Picoseconds now);
-  bool try_forward(Router& router, PortDir out, PortDir in, Picoseconds now);
+  /// Neighbour-table entry for a port that leaves the mesh.
+  static constexpr std::uint32_t kNoNeighbor = UINT32_MAX;
+
+  /// One router's flit movement for this tick: one readiness snapshot,
+  /// then each output served from a bitmask of the inputs whose ready head
+  /// routes there (or from its lock owner).
+  void move_router_flits(Router& router_ref, Picoseconds now);
+  /// Move the ready front flit of input `in` of router `node` through
+  /// output `out`; false when the downstream buffer is full.
+  bool forward(std::uint32_t node, PortDir out, PortDir in, Picoseconds now);
 
   /// Routing decision for `flit` as seen from router `node`, computed once
   /// when a flit is accepted into a buffer (cached in BufferedFlit::route).
@@ -118,6 +126,13 @@ private:
   const sim::ClockDomain* clock_;
   Mesh2D mesh_;
   NetworkConfig config_;
+
+  /// Per node, its coordinates and its neighbour through each mesh port
+  /// (kNoNeighbor off the edge), so no hop divides by the mesh width.
+  std::vector<Coord> coords_;
+  std::vector<std::array<std::uint32_t, 4>> neighbors_;
+  /// Time a flit spends in one router's pipeline (`pipeline_cycles`).
+  Picoseconds hop_span_{0};
 
   std::vector<Router> routers_;
   std::vector<std::unique_ptr<Adapter>> adapters_;  // indexed by node id

@@ -16,60 +16,11 @@ Router::Router(std::uint32_t id, RouterConfig config)
   }
 }
 
-bool Router::can_accept(PortDir port) const {
-  return inputs_[static_cast<std::size_t>(port)].count <
-         config_.buffer_flits;
-}
-
-void Router::accept(PortDir port, const Flit& flit, Picoseconds ready_at,
-                    PortDir route) {
-  auto& buffer = inputs_[static_cast<std::size_t>(port)];
-  sim_assert(buffer.count < config_.buffer_flits,
-             "router input buffer overflow (backpressure violated)");
-  buffer.push(BufferedFlit{flit, ready_at, route});
-  ++buffered_;
-}
-
-const Flit* Router::ready_front(PortDir port, Picoseconds now) const {
-  const auto& buffer = inputs_[static_cast<std::size_t>(port)];
-  if (buffer.count == 0 || buffer.front().ready_at > now) {
-    return nullptr;
-  }
-  return &buffer.front().flit;
-}
-
-PortDir Router::front_route(PortDir port) const {
-  const auto& buffer = inputs_[static_cast<std::size_t>(port)];
-  sim_assert(buffer.count != 0, "front_route on empty router input buffer");
-  return buffer.front().route;
-}
-
-Flit Router::pop(PortDir port) {
-  auto& buffer = inputs_[static_cast<std::size_t>(port)];
-  sim_assert(buffer.count != 0, "pop from empty router input buffer");
-  Flit flit = buffer.front().flit;
-  buffer.pop();
-  --buffered_;
-  return flit;
-}
-
-bool Router::output_locked(PortDir out) const {
-  return outputs_[static_cast<std::size_t>(out)].locked;
-}
-
-PortDir Router::lock_owner(PortDir out) const {
-  return outputs_[static_cast<std::size_t>(out)].owner;
-}
-
 void Router::lock_output(PortDir out, PortDir owner_input) {
   auto& state = outputs_[static_cast<std::size_t>(out)];
   sim_assert(!state.locked, "double lock on router output");
   state.locked = true;
   state.owner = owner_input;
-}
-
-void Router::unlock_output(PortDir out) {
-  outputs_[static_cast<std::size_t>(out)].locked = false;
 }
 
 std::optional<PortDir> Router::arbitrate(

@@ -21,6 +21,7 @@
 
 #include "noc/flit.hpp"
 #include "noc/topology.hpp"
+#include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace hybridic::noc {
@@ -43,35 +44,67 @@ struct BufferedFlit {
 };
 
 /// One mesh router. The Network drives `tick` and performs inter-router
-/// flit movement through `accept`/`take_front`.
+/// flit movement through `accept`/`pop`. The per-flit probes and mutators
+/// are defined here so the Network's per-tick loops inline them.
 class Router {
 public:
   Router(std::uint32_t id, RouterConfig config);
 
   /// True when input `port` has a free buffer slot.
-  [[nodiscard]] bool can_accept(PortDir port) const;
+  [[nodiscard]] bool can_accept(PortDir port) const {
+    return input(port).count < config_.buffer_flits;
+  }
 
   /// Push a flit into input `port`; it becomes eligible to advance at
   /// `ready_at` (arrival time + pipeline latency, set by the Network).
   /// `route` is the Network's precomputed output port for the flit.
   void accept(PortDir port, const Flit& flit, Picoseconds ready_at,
-              PortDir route = PortDir::kLocal);
+              PortDir route = PortDir::kLocal) {
+    InputBuffer& buffer = input(port);
+    sim_assert(buffer.count < config_.buffer_flits,
+               "router input buffer overflow (backpressure violated)");
+    buffer.push(BufferedFlit{flit, ready_at, route});
+    ++buffered_;
+  }
 
   /// Front flit of input `port` if present and ready at `now`.
-  [[nodiscard]] const Flit* ready_front(PortDir port, Picoseconds now) const;
+  [[nodiscard]] const Flit* ready_front(PortDir port, Picoseconds now) const {
+    const InputBuffer& buffer = input(port);
+    if (buffer.count == 0 || buffer.front().ready_at > now) {
+      return nullptr;
+    }
+    return &buffer.front().flit;
+  }
 
   /// Cached routing decision of the front flit of input `port`; the buffer
   /// must not be empty.
-  [[nodiscard]] PortDir front_route(PortDir port) const;
+  [[nodiscard]] PortDir front_route(PortDir port) const {
+    const InputBuffer& buffer = input(port);
+    sim_assert(buffer.count != 0, "front_route on empty router input buffer");
+    return buffer.front().route;
+  }
 
   /// Pop the front flit of input `port`.
-  Flit pop(PortDir port);
+  Flit pop(PortDir port) {
+    InputBuffer& buffer = input(port);
+    sim_assert(buffer.count != 0, "pop from empty router input buffer");
+    const Flit flit = buffer.front().flit;
+    buffer.pop();
+    --buffered_;
+    return flit;
+  }
 
   /// Output-lock bookkeeping for wormhole switching.
-  [[nodiscard]] bool output_locked(PortDir out) const;
-  [[nodiscard]] PortDir lock_owner(PortDir out) const;
+  [[nodiscard]] bool output_locked(PortDir out) const {
+    return outputs_[static_cast<std::size_t>(out)].locked;
+  }
+  [[nodiscard]] PortDir lock_owner(PortDir out) const {
+    return outputs_[static_cast<std::size_t>(out)].owner;
+  }
   void lock_output(PortDir out, PortDir owner_input);
-  void unlock_output(PortDir out);
+  void unlock_output(PortDir out) {
+    outputs_[static_cast<std::size_t>(out)].locked = false;
+  }
 
   /// Weighted-round-robin winner among `candidates` (input ports bitmask
   /// encoded as bool array) for output `out`. Updates WRR state.
@@ -80,8 +113,6 @@ public:
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
   [[nodiscard]] const RouterConfig& config() const { return config_; }
-  [[nodiscard]] std::uint64_t flits_forwarded() const { return forwarded_; }
-  void count_forward() { ++forwarded_; }
 
   /// Total flits currently buffered across all inputs (O(1)).
   [[nodiscard]] std::uint32_t occupancy() const { return buffered_; }
@@ -100,29 +131,40 @@ private:
 
   /// Fixed-capacity ring FIFO sized to the configured buffer depth — the
   /// input buffers never reallocate or chase deque block pointers on the
-  /// per-tick hot path.
+  /// per-tick hot path, and wrap with a compare instead of a division.
   struct InputBuffer {
     std::vector<BufferedFlit> slots;
     std::uint32_t head = 0;
     std::uint32_t count = 0;
 
-    [[nodiscard]] BufferedFlit& front() { return slots[head]; }
     [[nodiscard]] const BufferedFlit& front() const { return slots[head]; }
     void push(const BufferedFlit& flit) {
-      slots[(head + count) % slots.size()] = flit;
+      std::size_t tail = head + count;
+      if (tail >= slots.size()) {
+        tail -= slots.size();
+      }
+      slots[tail] = flit;
       ++count;
     }
     void pop() {
-      head = static_cast<std::uint32_t>((head + 1) % slots.size());
+      if (++head == slots.size()) {
+        head = 0;
+      }
       --count;
     }
   };
+
+  [[nodiscard]] InputBuffer& input(PortDir port) {
+    return inputs_[static_cast<std::size_t>(port)];
+  }
+  [[nodiscard]] const InputBuffer& input(PortDir port) const {
+    return inputs_[static_cast<std::size_t>(port)];
+  }
 
   std::uint32_t id_;
   RouterConfig config_;
   std::array<InputBuffer, kPortCount> inputs_;
   std::array<OutputState, kPortCount> outputs_;
-  std::uint64_t forwarded_ = 0;
   std::uint32_t buffered_ = 0;
 };
 

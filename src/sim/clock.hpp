@@ -9,15 +9,19 @@
 
 namespace hybridic::sim {
 
-/// A named clock domain with a fixed frequency.
+/// A named clock domain with a fixed frequency. The period is computed
+/// once: every edge and span conversion reads it, and recomputing it costs
+/// a 64-bit division.
 class ClockDomain {
 public:
   ClockDomain(std::string name, Frequency frequency)
-      : name_(std::move(name)), frequency_(frequency) {}
+      : name_(std::move(name)),
+        frequency_(frequency),
+        period_(frequency.period()) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Frequency frequency() const { return frequency_; }
-  [[nodiscard]] Picoseconds period() const { return frequency_.period(); }
+  [[nodiscard]] Picoseconds period() const { return period_; }
 
   /// Absolute time of cycle edge `n` (edge 0 at t=0).
   [[nodiscard]] Picoseconds edge(std::uint64_t n) const {
@@ -43,6 +47,7 @@ public:
 private:
   std::string name_;
   Frequency frequency_;
+  Picoseconds period_;
 };
 
 }  // namespace hybridic::sim

@@ -106,49 +106,27 @@ Engine::TickEntry Engine::pop_wheel(std::size_t wheel) {
   return entry;
 }
 
-Picoseconds Engine::run(Picoseconds limit) {
-  while (true) {
-    const NextSource next = peek_next();
-    if (!next.any || next.time > limit) {
-      break;
-    }
-    now_ = next.time;
-    if (next.from_wheel) {
-      const TickEntry entry = pop_wheel(next.wheel);
-      run_tick(entry.handle);
-    } else {
-      Event event = queue_.pop();
-      event.action();
-    }
-    ++events_executed_;
+bool Engine::step(Picoseconds limit) {
+  const NextSource next = peek_next();
+  if (!next.any || next.time > limit) {
+    return false;
   }
-  return now_;
+  now_ = next.time;
+  if (next.from_wheel) {
+    const TickEntry entry = pop_wheel(next.wheel);
+    run_tick(entry.handle);
+  } else {
+    Event event = queue_.pop();
+    event.action();
+  }
+  ++events_executed_;
+  return true;
 }
 
-bool Engine::run_until(const std::function<bool()>& predicate,
-                       Picoseconds limit) {
-  if (predicate()) {
-    return true;
+Picoseconds Engine::run(Picoseconds limit) {
+  while (step(limit)) {
   }
-  while (true) {
-    const NextSource next = peek_next();
-    if (!next.any || next.time > limit) {
-      break;
-    }
-    now_ = next.time;
-    if (next.from_wheel) {
-      const TickEntry entry = pop_wheel(next.wheel);
-      run_tick(entry.handle);
-    } else {
-      Event event = queue_.pop();
-      event.action();
-    }
-    ++events_executed_;
-    if (predicate()) {
-      return true;
-    }
-  }
-  return predicate();
+  return now_;
 }
 
 std::size_t Engine::pending_ticks() const {

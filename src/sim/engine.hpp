@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -62,9 +61,21 @@ public:
   Picoseconds run(Picoseconds limit = Picoseconds{UINT64_MAX});
 
   /// Run until `predicate` returns true (checked after every event) or the
-  /// queue drains. Returns true if the predicate fired.
-  bool run_until(const std::function<bool()>& predicate,
-                 Picoseconds limit = Picoseconds{UINT64_MAX});
+  /// queue drains. Returns true if the predicate fired. A template, so the
+  /// per-event check inlines instead of calling through std::function.
+  template <typename Predicate>
+  bool run_until(Predicate&& predicate,
+                 Picoseconds limit = Picoseconds{UINT64_MAX}) {
+    if (predicate()) {
+      return true;
+    }
+    while (step(limit)) {
+      if (predicate()) {
+        return true;
+      }
+    }
+    return predicate();
+  }
 
   /// True while any one-shot event or component tick is still queued. After
   /// `run_until` returns false this distinguishes "watchdog limit reached"
@@ -121,6 +132,9 @@ private:
     std::uint64_t sequence = 0;
   };
 
+  /// Execute the earliest pending event or tick if it is due at or before
+  /// `limit`; false when nothing is.
+  bool step(Picoseconds limit);
   void schedule_tick(std::size_t handle);
   void run_tick(std::size_t handle);
   [[nodiscard]] NextSource peek_next() const;

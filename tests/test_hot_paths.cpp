@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "noc/network.hpp"
 #include "prof/byte_set.hpp"
 #include "prof/tracked.hpp"
 #include "sim/clock.hpp"
@@ -186,6 +187,63 @@ TEST(HotPaths, EngineScheduleRunLoopDoesNotAllocateAfterWarmUp) {
   }
   EXPECT_EQ(allocations() - before, 0U);
   EXPECT_EQ(fired, 6U * 2000U);
+}
+
+/// A 4x4 NoC with an adapter at every node.
+struct Noc {
+  Noc() {
+    for (std::uint32_t node = 0; node < 16; ++node) {
+      network.attach_adapter(node, "n", noc::AdapterKind::kAccelerator);
+    }
+  }
+  sim::Engine engine;
+  sim::ClockDomain clock{"noc", Frequency::megahertz(150)};
+  noc::Network network{"noc", engine, clock, noc::Mesh2D{4, 4},
+                       noc::NetworkConfig{}};
+};
+
+TEST(HotPaths, NocSendCostDoesNotGrowWithMessageSize) {
+  // A queued message is one descriptor; its flits are built at injection.
+  const auto send_allocations = [](std::uint64_t bytes) {
+    Noc noc;
+    bool delivered = false;
+    const std::uint64_t before = allocations();
+    noc.network.send(0, 15, Bytes{bytes},
+                     [&delivered](std::uint64_t, Bytes, Picoseconds) {
+                       delivered = true;
+                     });
+    const std::uint64_t used = allocations() - before;
+    noc.engine.run();
+    EXPECT_TRUE(delivered);
+    return used;
+  };
+  const std::uint64_t small = send_allocations(4096);
+  const std::uint64_t large = send_allocations(1U << 20);
+  EXPECT_LE(large, small);
+}
+
+TEST(HotPaths, TickingAWarmNocDoesNotAllocate) {
+  Noc noc;
+  int delivered = 0;
+  const auto send_round = [&] {
+    // Four sources into one sink, as in the cycle sweep: packets of
+    // different messages interleave at the sink's ejection port.
+    for (const std::uint32_t source : {0U, 3U, 12U, 15U}) {
+      noc.network.send(source, 5, Bytes{16384},
+                       [&delivered](std::uint64_t, Bytes, Picoseconds) {
+                         ++delivered;
+                       });
+    }
+  };
+  send_round();
+  noc.engine.run();  // Warm-up: the tick wheel reaches its capacity.
+
+  send_round();
+  const std::uint64_t before = allocations();
+  noc.engine.run();
+  EXPECT_EQ(allocations() - before, 0U);
+  EXPECT_EQ(delivered, 8);
+  EXPECT_EQ(noc.network.inflight_messages(), 0U);
 }
 
 }  // namespace
