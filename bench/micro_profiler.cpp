@@ -1,18 +1,23 @@
 // Google-benchmark micro-benchmarks of the QUAD-style profiler: tracked
-// access overhead, shadow-memory scans, and full application profiling.
+// access overhead in both attribution modes, shadow-memory scans, and full
+// application profiling (the paper apps profile in kDeferred mode).
 #include <benchmark/benchmark.h>
 
 #include "apps/canny.hpp"
+#include "apps/fluid.hpp"
 #include "apps/jpeg.hpp"
+#include "apps/klt.hpp"
 #include "prof/tracked.hpp"
 
 namespace {
 
 using namespace hybridic;
 
+/// Args: element count, then 0 = kEager, 1 = kDeferred.
 void BM_TrackedWriteRead(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  prof::QuadProfiler q;
+  prof::QuadProfiler q{state.range(1) == 0 ? prof::ProfileMode::kEager
+                                           : prof::ProfileMode::kDeferred};
   const auto writer = q.declare("writer");
   const auto reader = q.declare("reader");
   prof::TrackedBuffer<float> buffer{q, "buf", n};
@@ -35,7 +40,9 @@ void BM_TrackedWriteRead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(2 * n));
 }
-BENCHMARK(BM_TrackedWriteRead)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_TrackedWriteRead)
+    ->ArgNames({"n", "deferred"})
+    ->ArgsProduct({{1024, 65536}, {0, 1}});
 
 void BM_ShadowScanRuns(benchmark::State& state) {
   prof::ShadowMemory shadow;
@@ -75,6 +82,22 @@ void BM_ProfileJpeg(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProfileJpeg)->Unit(benchmark::kMillisecond);
+
+void BM_ProfileFluid(benchmark::State& state) {
+  for (auto _ : state) {
+    const apps::ProfiledApp app = apps::run_fluid(apps::FluidConfig{});
+    benchmark::DoNotOptimize(app.graph().edges().size());
+  }
+}
+BENCHMARK(BM_ProfileFluid)->Unit(benchmark::kMillisecond);
+
+void BM_ProfileKlt(benchmark::State& state) {
+  for (auto _ : state) {
+    const apps::ProfiledApp app = apps::run_klt(apps::KltConfig{});
+    benchmark::DoNotOptimize(app.graph().edges().size());
+  }
+}
+BENCHMARK(BM_ProfileKlt)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

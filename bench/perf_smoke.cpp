@@ -172,12 +172,9 @@ PhaseBreakdown phase_breakdown(const std::string& app_name) {
   return out;
 }
 
-/// Wall seconds to profile one paper app as a batch job at `threads`.
-/// Profiling is deferred-mode: the replay finalize fans out across the
-/// job's own pool (ThreadPool::current()), so this measures the parallel
-/// cold profiling path end to end.
-double profile_once_seconds(std::size_t threads, const std::string& name) {
-  sys::BatchRunner runner{threads};
+/// Wall seconds to profile one paper app cold as a one-thread batch job.
+double profile_once_seconds(const std::string& name) {
+  sys::BatchRunner runner{1};
   std::vector<sys::BatchRunner::Job<int>> jobs;
   jobs.push_back({"profile/" + name, [&name](sys::JobContext&) {
                     (void)apps::run_paper_app(name);
@@ -246,21 +243,13 @@ int main(int argc, char** argv) {
             << " ms, algorithm1 " << phases.algorithm1_ms
             << " ms, simulate " << phases.simulate_ms << " ms\n";
 
-  // Cold profiling parallelism: one jpeg profile as a 1-thread batch job
-  // (serial replay) vs an N-thread batch job (sharded replay on the
-  // pool). Identical CommGraph either way — only the wall time moves.
-  const double profile_serial_s = profile_once_seconds(1, "jpeg");
-  const double profile_parallel_s =
-      profile_once_seconds(hw_threads, "jpeg");
-  const double cold_profile_speedup =
-      profile_parallel_s > 0 ? profile_serial_s / profile_parallel_s : 0.0;
+  // One cold jpeg profile as a batch job: profiling runs on one thread.
+  const double profile_serial_s = profile_once_seconds("jpeg");
   std::cout << "  profile jpeg:     " << profile_serial_s * 1e3
-            << " ms serial replay, " << profile_parallel_s * 1e3 << " ms @"
-            << hw_threads << "t (cold profile speedup "
-            << cold_profile_speedup << "x)\n";
+            << " ms cold, one batch job\n";
 
   // Batch runner: cold and warm speedups are separate figures — a cold
-  // batch is profiling-bound (fixed by the sharded replay), a warm batch
+  // batch is profiling-bound (one app per thread at most), a warm batch
   // is simulation fan-out. PR 6 recorded a single "batch_parallel_speedup"
   // of 0.99 without flagging that it measured the cold path on one core.
   std::uint64_t steals_1 = 0;
@@ -310,8 +299,8 @@ int main(int argc, char** argv) {
   if (hw_threads >= 4 && cold_speedup < 2.0) {
     std::cout << "  WARNING: cold batch speedup " << cold_speedup
               << "x < 2x on a " << hw_threads
-              << "-thread host — the parallel profiling path is not "
-                 "scaling; check BENCH_PR7.json cold figures\n";
+              << "-thread host — profiling the four apps concurrently "
+                 "is not scaling; check BENCH_PR7.json cold figures\n";
   }
 
   // Store warm restart: populate a fresh on-disk store from one process
@@ -420,10 +409,6 @@ int main(int argc, char** argv) {
        << "  \"phase_algorithm1_jpeg_ms\": " << phases.algorithm1_ms << ",\n"
        << "  \"phase_simulate_jpeg_ms\": " << phases.simulate_ms << ",\n"
        << "  \"profile_jpeg_serial_ms\": " << profile_serial_s * 1e3 << ",\n"
-       << "  \"profile_jpeg_parallel_ms\": " << profile_parallel_s * 1e3
-       << ",\n"
-       << "  \"cold_profile_parallel_speedup\": " << cold_profile_speedup
-       << ",\n"
        << "  \"batch_4apps_1thread_cold_ms\": " << batch_1t_cold_s * 1e3
        << ",\n"
        << "  \"batch_4apps_1thread_warm_ms\": " << batch_1t_warm_s * 1e3

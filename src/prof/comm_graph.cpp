@@ -29,24 +29,19 @@ bool CommGraph::has_function(const std::string& name) const {
   return by_name_.find(name) != by_name_.end();
 }
 
-const FunctionProfile& CommGraph::function(FunctionId id) const {
-  require(id < functions_.size(), "CommGraph function id out of range");
-  return functions_[id];
-}
-
-FunctionProfile& CommGraph::function_mutable(FunctionId id) {
-  require(id < functions_.size(), "CommGraph function id out of range");
-  return functions_[id];
-}
-
 void CommGraph::add_transfer(FunctionId producer, FunctionId consumer,
                              Bytes bytes,
                              std::uint64_t new_unique_addresses) {
-  require(producer < functions_.size() && consumer < functions_.size(),
-          "CommGraph transfer endpoints out of range");
-  EdgeData& edge = edges_[{producer, consumer}];
+  EdgeTotals& edge = totals(producer, consumer);
   edge.bytes += bytes.count();
   edge.unique_addresses += new_unique_addresses;
+}
+
+CommGraph::EdgeTotals& CommGraph::totals(FunctionId producer,
+                                         FunctionId consumer) {
+  require(producer < functions_.size() && consumer < functions_.size(),
+          "CommGraph transfer endpoints out of range");
+  return edges_[{producer, consumer}];
 }
 
 std::vector<CommEdge> CommGraph::edges() const {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace hybridic::prof {
@@ -44,15 +45,32 @@ public:
   [[nodiscard]] FunctionId id_of(const std::string& name) const;
   [[nodiscard]] bool has_function(const std::string& name) const;
 
-  [[nodiscard]] const FunctionProfile& function(FunctionId id) const;
-  [[nodiscard]] FunctionProfile& function_mutable(FunctionId id);
+  [[nodiscard]] const FunctionProfile& function(FunctionId id) const {
+    require(id < functions_.size(), "CommGraph function id out of range");
+    return functions_[id];
+  }
+  [[nodiscard]] FunctionProfile& function_mutable(FunctionId id) {
+    require(id < functions_.size(), "CommGraph function id out of range");
+    return functions_[id];
+  }
   [[nodiscard]] std::uint32_t function_count() const {
     return static_cast<std::uint32_t>(functions_.size());
   }
 
+  /// Running totals of one directed edge.
+  struct EdgeTotals {
+    std::uint64_t bytes = 0;
+    std::uint64_t unique_addresses = 0;
+  };
+
   /// Accumulate `bytes`/`umas` onto edge producer->consumer.
   void add_transfer(FunctionId producer, FunctionId consumer, Bytes bytes,
                     std::uint64_t new_unique_addresses);
+
+  /// The totals of edge producer->consumer, created at zero when absent,
+  /// for a caller that adds to one edge many times (the profiler's edge
+  /// table). The reference stays valid for the graph's lifetime.
+  [[nodiscard]] EdgeTotals& totals(FunctionId producer, FunctionId consumer);
 
   /// All edges with non-zero byte counts, ordered by (producer, consumer).
   [[nodiscard]] std::vector<CommEdge> edges() const;
@@ -73,14 +91,10 @@ public:
   [[nodiscard]] std::string summary() const;
 
 private:
-  struct EdgeData {
-    std::uint64_t bytes = 0;
-    std::uint64_t unique_addresses = 0;
-  };
-
   std::vector<FunctionProfile> functions_;
   std::map<std::string, FunctionId> by_name_;
-  std::map<std::pair<FunctionId, FunctionId>, EdgeData> edges_;
+  /// Node-based: totals() references survive later insertions.
+  std::map<std::pair<FunctionId, FunctionId>, EdgeTotals> edges_;
 };
 
 }  // namespace hybridic::prof

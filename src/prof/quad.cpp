@@ -1,37 +1,16 @@
 #include "prof/quad.hpp"
 
-#include <limits>
-
 #include "util/error.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hybridic::prof {
-
-namespace {
-
-/// Shards in the parallel replay partition. Fixed — NOT derived from the
-/// thread count — so the shard structure (and therefore every integer sum)
-/// is the same no matter how many workers execute it. Sixteen shards keep
-/// all cores busy up to 16-way parallelism while the per-shard trace walk
-/// stays cheap.
-constexpr std::size_t kReplayShards = 16;
-
-/// Below this many events the sharded replay's per-shard trace walks cost
-/// more than they save; replay serially instead.
-constexpr std::size_t kSerialReplayThreshold = 4096;
-
-constexpr std::uint64_t kShadowPage = ShadowMemory::kPageBytes;
-
-std::size_t shard_of_page(std::uint64_t page) { return page % kReplayShards; }
-
-}  // namespace
 
 FunctionId QuadProfiler::declare(std::string name) {
   require(!sealed_, "declare() on a sealed profiler");
   const FunctionId id = graph_.add_function(std::move(name));
   write_footprint_.emplace_back();
   read_footprint_.emplace_back();
+  edge_slots_.emplace_back();
   return id;
 }
 
@@ -64,101 +43,84 @@ std::uint64_t QuadProfiler::allocate(std::uint64_t bytes,
   return base;
 }
 
-void QuadProfiler::record_write(std::uint64_t addr, std::uint64_t size) {
-  require(!sealed_, "record_write on a sealed profiler");
-  const FunctionId writer = current();
-  graph_.function_mutable(writer).writes += size;
-  write_footprint_[writer].insert_range(addr, size);
-  if (mode_ == ProfileMode::kDeferred && !finalized_) {
-    const std::uint32_t fn_op = (writer << 1) | 1U;
-    if (!trace_.empty() && trace_.back().fn_op == fn_op &&
-        trace_.back().addr + trace_.back().size == addr &&
-        trace_.back().size + size <=
-            std::numeric_limits<std::uint32_t>::max()) {
-      trace_.back().size += static_cast<std::uint32_t>(size);
-      return;
-    }
-    while (size > std::numeric_limits<std::uint32_t>::max()) {
-      trace_.push_back(TraceEvent{
-          addr, std::numeric_limits<std::uint32_t>::max(), fn_op});
-      addr += std::numeric_limits<std::uint32_t>::max();
-      size -= std::numeric_limits<std::uint32_t>::max();
-    }
-    trace_.push_back(TraceEvent{addr, static_cast<std::uint32_t>(size),
-                                fn_op});
+void QuadProfiler::record(std::uint64_t addr, std::uint64_t size,
+                          bool write) {
+  require(!sealed_, write ? "record_write on a sealed profiler"
+                          : "record_read on a sealed profiler");
+  const FunctionId function = current();
+  if (mode_ == ProfileMode::kEager || finalized_) {
+    attribute({addr, size, function, write});
     return;
   }
-  shadow_.write(addr, size, writer);
+  attribute_pending();
+  // Coalescing caps a run at kMaxRun bytes: a longer access is attributed
+  // in kMaxRun pieces and only its tail stays pending.
+  while (size > kMaxRun) {
+    attribute({addr, kMaxRun, function, write});
+    addr += kMaxRun;
+    size -= kMaxRun;
+  }
+  // Field by field: the next access's extend_pending loads them one at a
+  // time, and a whole-struct copy compiles to wider stores that those
+  // loads straddle, which the store buffer cannot forward.
+  pending_.addr = addr;
+  pending_.size = size;
+  pending_.function = function;
+  pending_.write = write;
 }
 
-void QuadProfiler::record_read(std::uint64_t addr, std::uint64_t size) {
-  require(!sealed_, "record_read on a sealed profiler");
-  const FunctionId consumer = current();
-  graph_.function_mutable(consumer).reads += size;
-  read_footprint_[consumer].insert_range(addr, size);
-  if (mode_ == ProfileMode::kDeferred && !finalized_) {
-    const std::uint32_t fn_op = consumer << 1;
-    if (!trace_.empty() && trace_.back().fn_op == fn_op &&
-        trace_.back().addr + trace_.back().size == addr &&
-        trace_.back().size + size <=
-            std::numeric_limits<std::uint32_t>::max()) {
-      trace_.back().size += static_cast<std::uint32_t>(size);
-      return;
-    }
-    while (size > std::numeric_limits<std::uint32_t>::max()) {
-      trace_.push_back(TraceEvent{
-          addr, std::numeric_limits<std::uint32_t>::max(), fn_op});
-      addr += std::numeric_limits<std::uint32_t>::max();
-      size -= std::numeric_limits<std::uint32_t>::max();
-    }
-    trace_.push_back(TraceEvent{addr, static_cast<std::uint32_t>(size),
-                                fn_op});
+void QuadProfiler::attribute_pending() {
+  if (pending_.function != kNoWriter) {
+    attribute(pending_);
+    pending_.function = kNoWriter;
+  }
+}
+
+void QuadProfiler::attribute(const Run& run) {
+  FunctionProfile& profile = graph_.function_mutable(run.function);
+  if (run.write) {
+    profile.writes += run.size;
+    write_footprint_[run.function].insert_range(run.addr, run.size);
+    shadow_.write(run.addr, run.size, run.function);
     return;
   }
-  attribute_read_eager(consumer, addr, size);
-}
-
-void QuadProfiler::attribute_read_eager(FunctionId consumer,
-                                        std::uint64_t addr,
-                                        std::uint64_t size) {
-  shadow_.scan(addr, size,
-               [this, consumer](std::uint64_t run_start, std::uint64_t length,
-                                FunctionId producer) {
+  profile.reads += run.size;
+  read_footprint_[run.function].insert_range(run.addr, run.size);
+  std::vector<std::unique_ptr<EdgeSlot>>& row = edge_slots_[run.function];
+  shadow_.scan(run.addr, run.size,
+               [this, &row, consumer = run.function](std::uint64_t start,
+                                                     std::uint64_t length,
+                                                     FunctionId producer) {
                  if (producer == kNoWriter) {
                    return;  // Uninitialized data: no communication edge.
                  }
-                 const std::uint64_t fresh =
-                     uma_[{producer, consumer}].insert_range(run_start,
-                                                             length);
-                 graph_.add_transfer(producer, consumer, Bytes{length},
-                                     fresh);
+                 if (producer >= row.size() || row[producer] == nullptr) {
+                   add_edge_slot(row, producer, consumer);
+                 }
+                 EdgeSlot& edge = *row[producer];
+                 edge.totals->bytes += length;
+                 edge.totals->unique_addresses +=
+                     edge.uma.insert_range(start, length);
                });
+}
+
+void QuadProfiler::add_edge_slot(
+    std::vector<std::unique_ptr<EdgeSlot>>& row, FunctionId producer,
+    FunctionId consumer) {
+  if (producer >= row.size()) {
+    row.resize(graph_.function_count());
+  }
+  row[producer] = std::make_unique<EdgeSlot>();
+  row[producer]->totals = &graph_.totals(producer, consumer);
 }
 
 void QuadProfiler::add_work(std::uint64_t units) {
   graph_.function_mutable(current()).work_units += units;
 }
 
-void QuadProfiler::finalize(ThreadPool* pool) {
-  if (mode_ != ProfileMode::kDeferred || finalized_) {
-    finalized_ = true;
-    return;
-  }
+void QuadProfiler::finalize() {
+  attribute_pending();
   finalized_ = true;
-  if (trace_.empty()) {
-    return;
-  }
-  if (pool == nullptr) {
-    pool = ThreadPool::current();
-  }
-  if (pool == nullptr || pool->thread_count() <= 1 ||
-      trace_.size() < kSerialReplayThreshold) {
-    replay_serial();
-  } else {
-    replay_sharded(*pool);
-  }
-  trace_.clear();
-  trace_.shrink_to_fit();
 }
 
 void QuadProfiler::seal() {
@@ -172,97 +134,11 @@ void QuadProfiler::seal() {
     sealed_unique_written_.push_back(write_footprint_[id].size());
   }
   shadow_.release();
-  uma_.clear();
   // Move-assign empty vectors: clear() would keep their capacity.
   read_footprint_ = std::vector<PagedByteSet>{};
   write_footprint_ = std::vector<PagedByteSet>{};
-  trace_ = std::vector<TraceEvent>{};
+  edge_slots_ = std::vector<std::vector<std::unique_ptr<EdgeSlot>>>{};
   sealed_ = true;
-}
-
-void QuadProfiler::replay_serial() {
-  for (const TraceEvent& event : trace_) {
-    const auto fn = static_cast<FunctionId>(event.fn_op >> 1);
-    if ((event.fn_op & 1U) != 0) {
-      shadow_.write(event.addr, event.size, fn);
-    } else {
-      attribute_read_eager(fn, event.addr, event.size);
-    }
-  }
-}
-
-void QuadProfiler::replay_sharded(ThreadPool& pool) {
-  // Each shard owns the pages with page_index % kReplayShards == shard and
-  // replays the full trace restricted to those pages into private state.
-  // Byte-disjoint shards mean per-edge byte/UMA counts partition exactly,
-  // so the serial merge below reproduces the eager totals bit for bit.
-  struct Shard {
-    ShadowMemory shadow;
-    std::map<std::pair<FunctionId, FunctionId>, PagedByteSet> uma;
-    struct EdgeAccum {
-      std::uint64_t bytes = 0;
-      std::uint64_t unique_addresses = 0;
-    };
-    std::map<std::pair<FunctionId, FunctionId>, EdgeAccum> edges;
-  };
-  std::vector<std::unique_ptr<Shard>> shards;
-  shards.reserve(kReplayShards);
-  for (std::size_t i = 0; i < kReplayShards; ++i) {
-    shards.push_back(std::make_unique<Shard>());
-  }
-
-  TaskGroup group{&pool};
-  for (std::size_t index = 0; index < kReplayShards; ++index) {
-    group.add([this, index, shard = shards[index].get()] {
-      for (const TraceEvent& event : trace_) {
-        const auto fn = static_cast<FunctionId>(event.fn_op >> 1);
-        const bool is_write = (event.fn_op & 1U) != 0;
-        std::uint64_t pos = event.addr;
-        const std::uint64_t end = event.addr + event.size;
-        while (pos < end) {
-          const std::uint64_t in_page =
-              std::min(end - pos, kShadowPage - pos % kShadowPage);
-          if (shard_of_page(pos / kShadowPage) == index) {
-            if (is_write) {
-              shard->shadow.write(pos, in_page, fn);
-            } else {
-              shard->shadow.scan(
-                  pos, in_page,
-                  [shard, fn](std::uint64_t run_start, std::uint64_t length,
-                              FunctionId producer) {
-                    if (producer == kNoWriter) {
-                      return;
-                    }
-                    const std::uint64_t fresh =
-                        shard->uma[{producer, fn}].insert_range(run_start,
-                                                                length);
-                    auto& edge = shard->edges[{producer, fn}];
-                    edge.bytes += length;
-                    edge.unique_addresses += fresh;
-                  });
-            }
-          }
-          pos += in_page;
-        }
-      }
-    });
-  }
-  group.run_and_wait();
-
-  // Serial merge, shard order. Edge sums are order-independent integers;
-  // shadow pages and UMA bitmaps are page-disjoint across shards.
-  for (auto& shard : shards) {
-    for (const auto& [key, edge] : shard->edges) {
-      graph_.add_transfer(key.first, key.second, Bytes{edge.bytes},
-                          edge.unique_addresses);
-    }
-    shadow_.absorb(shard->shadow);
-    for (auto& [key, set] : shard->uma) {
-      // Page-disjoint across shards; the merged sets keep post-finalize
-      // eager reads counting fresh addresses correctly.
-      uma_[key].absorb(set);
-    }
-  }
 }
 
 std::uint64_t QuadProfiler::unique_bytes_written(FunctionId function) const {
@@ -295,10 +171,9 @@ std::string QuadProfiler::memory_report() const {
   return table.to_string();
 }
 
-ProfileSnapshot QuadProfiler::snapshot() const {
+ProfileSnapshot QuadProfiler::snapshot() {
   require(stack_.empty(), "snapshot() with open function scopes");
-  require(mode_ != ProfileMode::kDeferred || finalized_ || trace_.empty(),
-          "snapshot() before finalize() on a deferred profiler");
+  attribute_pending();
   ProfileSnapshot snap;
   snap.functions.reserve(graph_.function_count());
   for (FunctionId id = 0; id < graph_.function_count(); ++id) {
@@ -360,7 +235,6 @@ std::uint64_t QuadProfiler::approx_memory_bytes() const {
   total += shadow_.page_count() * 64 +
            shadow_.split_page_count() * ShadowMemory::kPageBytes *
                sizeof(FunctionId);
-  total += trace_.capacity() * sizeof(TraceEvent);
   const auto byte_set_bytes = [](const PagedByteSet& set) {
     return set.page_count() * 64 +
            set.bitmap_page_count() * (PagedByteSet::kPageBytes / 8);
@@ -371,9 +245,12 @@ std::uint64_t QuadProfiler::approx_memory_bytes() const {
   for (const PagedByteSet& set : read_footprint_) {
     total += byte_set_bytes(set);
   }
-  for (const auto& [key, set] : uma_) {
-    (void)key;
-    total += byte_set_bytes(set) + 64;
+  for (const auto& row : edge_slots_) {
+    for (const auto& slot : row) {
+      if (slot != nullptr) {
+        total += byte_set_bytes(slot->uma) + 64;
+      }
+    }
   }
   return total;
 }

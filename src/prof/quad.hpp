@@ -5,19 +5,25 @@
 // (bytes + unique memory addresses per producer→consumer pair) that drives
 // the interconnect design algorithm.
 //
-// Two attribution modes (docs/MODEL.md §15):
-//  - kEager: every record_read scans shadow memory immediately — the
-//    original behaviour, still the default for direct profiler use.
-//  - kDeferred: record_write/record_read append to a coalesced event trace
-//    and attribution runs in finalize(), which can shard the replay by
-//    shadow page across a ThreadPool. Because the shards partition the
-//    byte address space, per-edge byte and UMA totals are exact integer
-//    sums over shards — the CommGraph is byte-identical to an eager run at
-//    any shard or thread count.
+// Attribution handles one address run at a time (docs/MODEL.md §10): a
+// write run makes its function the last writer of each byte and grows the
+// writer's footprint; a read run grows the reader's footprint and adds
+// each maximal same-producer span to that producer→consumer edge's bytes
+// and UMA set. Two modes feed it:
+//  - kEager: every record_* call is attributed on the spot — the
+//    per-access reference, and the default for direct profiler use.
+//  - kDeferred: what the applications use. An access that extends the
+//    pending run (same function, same direction, exactly adjacent, at
+//    most UINT32_MAX bytes in all) only grows it; any other access first
+//    attributes the pending run, then starts the next one. Runs are
+//    attributed in program order and no other access falls between two
+//    coalesced ones, so attributing [a,a+s1) then [a+s1,a+s1+s2) equals
+//    one [a,a+s1+s2) pass: the profile is kEager's, byte for byte.
+//    finalize(), seal() and snapshot() attribute the last run.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,10 +31,6 @@
 #include "prof/comm_graph.hpp"
 #include "prof/shadow_memory.hpp"
 #include "util/units.hpp"
-
-namespace hybridic {
-class ThreadPool;
-}  // namespace hybridic
 
 namespace hybridic::prof {
 
@@ -38,7 +40,7 @@ enum class ProfileMode { kEager, kDeferred };
 /// Value snapshot of a finished profile: everything the design pipeline
 /// consumes downstream of profiling (graph, per-function counters, unique
 /// footprints, observed call order) — and nothing it does not (no shadow
-/// pages, no event trace). This is the unit the persistent store
+/// pages, no byte sets). This is the unit the persistent store
 /// serializes; QuadProfiler::from_snapshot rebuilds an equivalent, sealed
 /// profiler.
 struct ProfileSnapshot {
@@ -63,8 +65,7 @@ struct ProfileSnapshot {
 };
 
 /// The profiling runtime. Single-threaded by design — a profiled run is a
-/// deterministic re-execution of the application. (finalize() may fan the
-/// replay out over a pool, but the recording API stays single-threaded.)
+/// deterministic re-execution of the application.
 class QuadProfiler {
 public:
   explicit QuadProfiler(ProfileMode mode = ProfileMode::kEager)
@@ -89,39 +90,40 @@ public:
 
   /// Record a write of [addr, addr+size) by the current function. Throws
   /// ConfigError once sealed.
-  void record_write(std::uint64_t addr, std::uint64_t size);
+  void record_write(std::uint64_t addr, std::uint64_t size) {
+    if (!extend_pending(addr, size, true)) {
+      record(addr, size, true);
+    }
+  }
 
   /// Record a read of [addr, addr+size) by the current function; attributes
-  /// each byte to its last writer (in finalize() when deferred). Throws
-  /// ConfigError once sealed.
-  void record_read(std::uint64_t addr, std::uint64_t size);
+  /// each byte to its last writer (once its run ends, when deferred).
+  /// Throws ConfigError once sealed.
+  void record_read(std::uint64_t addr, std::uint64_t size) {
+    if (!extend_pending(addr, size, false)) {
+      record(addr, size, false);
+    }
+  }
 
   /// Add explicit computational work units to the current function (the
   /// op count used to calibrate kernel compute times).
   void add_work(std::uint64_t units);
 
-  /// Replay the deferred event trace into shadow memory and the comm
-  /// graph. No-op in eager mode or when already finalized (idempotent).
-  /// With a pool (defaults to the ambient ThreadPool::current()) the
-  /// replay is sharded by shadow page and runs in parallel; the resulting
-  /// graph is byte-identical either way. After finalize() the profiler
-  /// behaves exactly like an eager one (further record_* calls allowed).
-  void finalize(ThreadPool* pool = nullptr);
+  /// Attribute the pending run; from then on the profiler behaves exactly
+  /// like an eager one (further record_* calls allowed). No-op in eager
+  /// mode; idempotent.
+  void finalize();
 
   /// Finish the profile for good: finalize(), keep each function's
   /// unique read/write counts, then free what only recording needs — the
-  /// shadow pages (scan_count() is kept), the footprint and UMA byte sets
-  /// and the event trace. The profiler is left in the state from_snapshot
-  /// builds (mode() aside, which a snapshot does not carry): every
-  /// read-side query answers as before, while declare() and record_*
-  /// throw. Idempotent. Producers of cached profiles
+  /// shadow pages and page cache (scan_count() is kept), the footprint
+  /// byte sets and the edge table. The profiler is left in the state
+  /// from_snapshot builds (mode() aside, which a snapshot does not
+  /// carry): every read-side query answers as before, while declare() and
+  /// record_* throw. Idempotent. Producers of cached profiles
   /// (ProfiledApp) call this, so a cache entry holds what Algorithm 1
   /// reads and is freed cheaply wherever its last reference drops.
   void seal();
-
-  /// Deferred events currently buffered (0 in eager mode / after
-  /// finalize) — exposed for tests and memory accounting.
-  [[nodiscard]] std::size_t pending_events() const { return trace_.size(); }
 
   [[nodiscard]] ProfileMode mode() const { return mode_; }
 
@@ -151,9 +153,9 @@ public:
 
   // ---- Persistence (src/store/ profile codec). ----
 
-  /// Capture the downstream-visible profile. Requires a finalized (or
-  /// eager) profiler with no open scopes.
-  [[nodiscard]] ProfileSnapshot snapshot() const;
+  /// Capture the downstream-visible profile, after attributing the
+  /// pending run. Requires no open scopes.
+  [[nodiscard]] ProfileSnapshot snapshot();
 
   /// Rebuild a sealed profiler from a snapshot. The result serves every
   /// read-side query (graph, footprint counts, call order, memory_report)
@@ -169,45 +171,67 @@ public:
   /// Rough resident footprint in bytes — the L1 cache's eviction
   /// accounting. Charges the graph, names and footprint counts; shadow
   /// pages, with cell storage only for split ones; byte-set pages, with a
-  /// bitmap only for pages that are not full; the buffered trace. A sealed
-  /// profiler holds only the first group.
+  /// bitmap only for pages that are not full. A sealed profiler holds only
+  /// the first group.
   [[nodiscard]] std::uint64_t approx_memory_bytes() const;
 
 private:
-  /// One deferred access: [addr, addr+size) by function `fn_op >> 1`;
-  /// low bit set = write. Coalescing in record_* merges strictly adjacent
-  /// same-function same-op accesses, which never changes attribution:
-  /// between two consecutive trace entries no other event exists, so
-  /// processing [a,a+s1) then [a+s1,a+s1+s2) equals one [a,a+s1+s2) pass.
-  struct TraceEvent {
+  /// Accesses by one function in one direction over [addr, addr+size).
+  struct Run {
     std::uint64_t addr = 0;
-    std::uint32_t size = 0;
-    std::uint32_t fn_op = 0;
+    std::uint64_t size = 0;
+    FunctionId function = kNoWriter;  ///< kNoWriter: no run.
+    bool write = false;
   };
 
-  void attribute_read_eager(FunctionId consumer, std::uint64_t addr,
-                            std::uint64_t size);
-  void replay_serial();
-  void replay_sharded(ThreadPool& pool);
+  /// One producer→consumer pair that reads have reached: its UMA set and
+  /// its totals in graph_.
+  struct EdgeSlot {
+    PagedByteSet uma;
+    CommGraph::EdgeTotals* totals = nullptr;
+  };
+
+  /// The longest run coalescing builds.
+  static constexpr std::uint64_t kMaxRun = UINT32_MAX;
+
+  /// Grow the pending run by [addr, addr+size) if the current function
+  /// continues it in the same direction; false otherwise (always in eager
+  /// mode, after finalize() and once sealed, when no run is pending).
+  bool extend_pending(std::uint64_t addr, std::uint64_t size, bool write) {
+    if (stack_.empty() || stack_.back() != pending_.function ||
+        pending_.write != write || pending_.addr + pending_.size != addr ||
+        pending_.size + size > kMaxRun) {
+      return false;
+    }
+    pending_.size += size;
+    return true;
+  }
+
+  /// An access that does not extend the pending run.
+  void record(std::uint64_t addr, std::uint64_t size, bool write);
+  void attribute(const Run& run);
+  void attribute_pending();
+  /// Open the slot of a pair that row `consumer` of edge_slots_ lacks.
+  void add_edge_slot(std::vector<std::unique_ptr<EdgeSlot>>& row,
+                     FunctionId producer, FunctionId consumer);
 
   ProfileMode mode_ = ProfileMode::kEager;
   bool finalized_ = false;
   bool sealed_ = false;
   CommGraph graph_;
   ShadowMemory shadow_;
-  std::vector<TraceEvent> trace_;
+  Run pending_;
   std::vector<FunctionId> stack_;
   std::vector<PagedByteSet> write_footprint_;
   std::vector<PagedByteSet> read_footprint_;
+  /// edge_slots_[consumer][producer], rows grown on demand.
+  std::vector<std::vector<std::unique_ptr<EdgeSlot>>> edge_slots_;
   /// Unique-footprint counts of a sealed profiler, kept by seal() or
   /// carried over by from_snapshot (the byte sets are gone).
   std::vector<std::uint64_t> sealed_unique_read_;
   std::vector<std::uint64_t> sealed_unique_written_;
   std::vector<FunctionId> first_call_order_;
   std::uint64_t next_addr_ = 0x1000;
-
-  /// Per-edge sets for UMA counting.
-  std::map<std::pair<FunctionId, FunctionId>, PagedByteSet> uma_;
 };
 
 /// RAII scope for QuadProfiler::enter/leave.

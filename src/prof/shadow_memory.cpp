@@ -1,23 +1,21 @@
 #include "prof/shadow_memory.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace hybridic::prof {
 
 ShadowMemory::Page& ShadowMemory::page_for(std::uint64_t key) {
-  if (cached_page_ != nullptr && key == cached_key_) {
-    return *cached_page_;
+  CacheSlot& cached = slot(key);
+  if (cached.key == key) {
+    return *cached.page;
   }
-  // Node-based map: the cached pointer survives rehashing.
   Page& page = pages_[key];
-  cached_key_ = key;
-  cached_page_ = &page;
+  cached = {key, &page};
   return page;
 }
 
-void ShadowMemory::write(std::uint64_t addr, std::uint64_t size,
-                         FunctionId writer) {
+void ShadowMemory::write_pages(std::uint64_t addr, std::uint64_t size,
+                               FunctionId writer) {
   std::uint64_t pos = addr;
   const std::uint64_t end = addr + size;
   while (pos < end) {
@@ -36,7 +34,7 @@ void ShadowMemory::write(std::uint64_t addr, std::uint64_t size,
                   in_page, writer);
     } else if (page.uniform != writer) {
       // Partial write by a new writer: split into per-byte cells.
-      page.cells = std::make_unique<Cells>();
+      page.cells = std::make_unique_for_overwrite<Cells>();
       page.cells->fill(page.uniform);
       std::fill_n(page.cells->begin() + static_cast<std::ptrdiff_t>(offset),
                   in_page, writer);
@@ -46,41 +44,22 @@ void ShadowMemory::write(std::uint64_t addr, std::uint64_t size,
   }
 }
 
-void ShadowMemory::absorb(ShadowMemory& other) {
-  for (auto& [key, page] : other.pages_) {
-    auto [it, inserted] = pages_.emplace(key, std::move(page));
-    (void)it;
-    if (!inserted) {
-      // Disjointness is a caller invariant; colliding pages would mean two
-      // shards claimed the same page and the merge would be order-dependent.
-      throw std::logic_error{"ShadowMemory::absorb: overlapping pages"};
-    }
-  }
-  split_pages_ += other.split_pages_;
-  other.pages_.clear();
-  other.split_pages_ = 0;
-  other.cached_key_ = UINT64_MAX;
-  other.cached_page_ = nullptr;
-  scans_.fetch_add(other.scans_.exchange(0, std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-}
-
 void ShadowMemory::release() {
   pages_ = decltype(pages_){};
   split_pages_ = 0;
-  cached_key_ = UINT64_MAX;
-  cached_page_ = nullptr;
+  cache_.reset();
 }
 
 FunctionId ShadowMemory::last_writer(std::uint64_t addr) const {
-  const Page* page = lookup_page(addr / kPageBytes);
-  if (page == nullptr) {
+  const auto it = pages_.find(addr / kPageBytes);
+  if (it == pages_.end()) {
     return kNoWriter;
   }
-  if (page->cells == nullptr) {
-    return page->uniform;
+  const Page& page = it->second;
+  if (page.cells == nullptr) {
+    return page.uniform;
   }
-  return (*page->cells)[addr % kPageBytes];
+  return (*page.cells)[addr % kPageBytes];
 }
 
 }  // namespace hybridic::prof

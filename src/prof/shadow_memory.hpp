@@ -4,19 +4,19 @@
 // byte it touches.
 //
 // Storage is paged (4 KiB of address space per page) and all hot
-// operations work a page at a time: one hash lookup per page instead of
-// one per byte, and a single-entry last-page cache that short-circuits the
-// hash lookup for the sequential access patterns the profiled applications
-// generate. A page records a single writer for all of its bytes until a
-// partial write by another function splits it into per-byte cells; a
-// whole-page write makes it uniform again. Bulk writes and scans therefore
-// cost O(pages) on uniform pages, and run detection works directly over
-// the raw cell array on split ones.
+// operations work a page at a time: at most one hash lookup per page
+// instead of one per byte, and a small direct-mapped page cache (slot =
+// page % kCacheSlots) that writes and scans share skips even that for the
+// few pages the profiled applications' loops alternate between. A page
+// records a single writer for all of its bytes until a partial write by
+// another function splits it into per-byte cells; a whole-page write
+// makes it uniform again. Bulk writes and scans therefore cost O(pages)
+// on uniform pages, and run detection works directly over the raw cell
+// array on split ones.
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -34,7 +34,24 @@ public:
   static constexpr std::uint64_t kPageBytes = 4096;
 
   /// Record that `writer` wrote [addr, addr+size).
-  void write(std::uint64_t addr, std::uint64_t size, FunctionId writer);
+  void write(std::uint64_t addr, std::uint64_t size, FunctionId writer) {
+    const std::uint64_t key = addr / kPageBytes;
+    const std::uint64_t offset = addr % kPageBytes;
+    // An element: part of one cached page that it cannot split.
+    if (const CacheSlot& cached = slot(key);
+        cached.key == key && offset + size < kPageBytes) {
+      Page& page = *cached.page;
+      if (page.cells != nullptr) {
+        std::fill_n(page.cells->begin() + static_cast<std::ptrdiff_t>(offset),
+                    size, writer);
+        return;
+      }
+      if (page.uniform == writer) {
+        return;
+      }
+    }
+    write_pages(addr, size, writer);
+  }
 
   /// Last writer of a single byte (kNoWriter if untouched).
   [[nodiscard]] FunctionId last_writer(std::uint64_t addr) const;
@@ -43,16 +60,11 @@ public:
   /// callback(run_start, run_length, producer). Runs with kNoWriter are
   /// reported too so the caller can decide how to treat untouched bytes.
   /// Runs spanning page boundaries (and untouched pages) are merged, so the
-  /// emitted run sequence is identical to a byte-by-byte walk.
-  ///
-  /// Thread-safe against concurrent scans on a read-only (no longer
-  /// written) ShadowMemory: the scan path never touches the mutable
-  /// single-entry page cache (each page is visited exactly once per scan,
-  /// so the cache could not help here anyway), and the scan counter is
-  /// atomic. Profiling itself (write/record paths) stays single-threaded.
+  /// emitted run sequence is identical to a byte-by-byte walk. Not const:
+  /// it counts itself and fills the page cache.
   template <typename Callback>
-  void scan(std::uint64_t addr, std::uint64_t size, Callback&& callback) const {
-    scans_.fetch_add(1, std::memory_order_relaxed);
+  void scan(std::uint64_t addr, std::uint64_t size, Callback&& callback) {
+    ++scans_;
     if (size == 0) {
       return;
     }
@@ -76,7 +88,7 @@ public:
     while (pos < end) {
       const std::uint64_t offset = pos % kPageBytes;
       const std::uint64_t chunk = std::min(end - pos, kPageBytes - offset);
-      const Page* page = lookup_page(pos / kPageBytes);
+      const Page* page = find_page(pos / kPageBytes);
       if (page == nullptr || page->cells == nullptr) {
         // Untouched or uniform page: the in-page span is one segment.
         segment(pos, page == nullptr ? kNoWriter : page->uniform);
@@ -105,22 +117,15 @@ public:
   /// storage.
   [[nodiscard]] std::size_t split_page_count() const { return split_pages_; }
 
-  /// Move every page of `other` into this shadow. The two page sets must be
-  /// disjoint (the parallel-finalize shards partition pages by page index,
-  /// so they are by construction); `other` is left empty. Scan counters are
-  /// summed so instrumentation sees the shard scans too.
-  void absorb(ShadowMemory& other);
-
-  /// Free every page (QuadProfiler::seal); scan_count() is kept, so a
-  /// sealed profile still reports the passes that produced it.
+  /// Free every page and the page cache (QuadProfiler::seal);
+  /// scan_count() is kept, so a sealed profile still reports the passes
+  /// that produced it.
   void release();
 
   /// Number of scan() calls ever made against this shadow. The profile
   /// memoization cache's hit path must leave this untouched (tested), which
   /// is what "a hit does zero shadow-memory passes" means operationally.
-  [[nodiscard]] std::uint64_t scan_count() const {
-    return scans_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t scan_count() const { return scans_; }
 
 private:
   using Cells = std::array<FunctionId, kPageBytes>;
@@ -132,21 +137,51 @@ private:
     std::unique_ptr<Cells> cells;
   };
 
-  Page& page_for(std::uint64_t key);
+  static constexpr std::size_t kCacheSlots = 16;
+  /// Above every page index (addresses are 64-bit, pages 4 KiB).
+  static constexpr std::uint64_t kNoPage = UINT64_MAX;
 
-  /// Plain hash lookup with no side effects — safe from const/concurrent
-  /// readers. The write path (page_for) keeps the mutable one-entry cache,
-  /// where repeated same-page writes make it pay.
-  [[nodiscard]] const Page* lookup_page(std::uint64_t key) const {
-    const auto it = pages_.find(key);
-    return it == pages_.end() ? nullptr : &it->second;
+  struct CacheSlot {
+    std::uint64_t key = kNoPage;
+    Page* page = nullptr;
+  };
+  using PageCache = std::array<CacheSlot, kCacheSlots>;
+
+  /// The cache slot of page `key`; the cache is allocated on first use,
+  /// so a shadow that never records (a restored profile) owns none.
+  CacheSlot& slot(std::uint64_t key) {
+    if (cache_ == nullptr) {
+      cache_ = std::make_unique<PageCache>();
+    }
+    return (*cache_)[key % kCacheSlots];
   }
 
+  /// Page `key`, created untouched if absent.
+  Page& page_for(std::uint64_t key);
+
+  /// write, page by page.
+  void write_pages(std::uint64_t addr, std::uint64_t size, FunctionId writer);
+
+  /// Page `key`, or nullptr if it was never written. Only pages that
+  /// exist are cached.
+  Page* find_page(std::uint64_t key) {
+    CacheSlot& cached = slot(key);
+    if (cached.key == key) {
+      return cached.page;
+    }
+    const auto it = pages_.find(key);
+    if (it == pages_.end()) {
+      return nullptr;
+    }
+    cached = {key, &it->second};
+    return cached.page;
+  }
+
+  /// Node-based map: cached page pointers survive rehashing.
   std::unordered_map<std::uint64_t, Page> pages_;
   std::size_t split_pages_ = 0;
-  mutable std::atomic<std::uint64_t> scans_{0};
-  std::uint64_t cached_key_ = UINT64_MAX;
-  Page* cached_page_ = nullptr;
+  std::uint64_t scans_ = 0;
+  std::unique_ptr<PageCache> cache_;
 };
 
 }  // namespace hybridic::prof

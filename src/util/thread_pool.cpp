@@ -7,7 +7,6 @@ namespace hybridic {
 
 namespace {
 thread_local std::size_t tls_worker_index = ThreadPool::kNotAWorker;
-thread_local ThreadPool* tls_worker_pool = nullptr;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -65,8 +64,6 @@ std::uint64_t ThreadPool::executed_count() const {
 
 std::size_t ThreadPool::current_worker() { return tls_worker_index; }
 
-ThreadPool* ThreadPool::current() { return tls_worker_pool; }
-
 std::function<void()> ThreadPool::take_from(std::size_t victim) {
   std::unique_lock<std::mutex> lock{queues_[victim]->mutex};
   if (queues_[victim]->tasks.empty()) {
@@ -79,7 +76,6 @@ std::function<void()> ThreadPool::take_from(std::size_t victim) {
 
 void ThreadPool::worker_loop(std::size_t self) {
   tls_worker_index = self;
-  tls_worker_pool = this;
   const std::size_t n = queues_.size();
   for (;;) {
     // Own queue first (FIFO), then round-robin over the other workers'

@@ -55,12 +55,6 @@ public:
   /// Index of the calling pool worker, or kNotAWorker outside the pool.
   [[nodiscard]] static std::size_t current_worker();
 
-  /// The pool owning the calling thread, or nullptr outside any pool.
-  /// Lets library code (e.g. QuadProfiler::finalize) discover an
-  /// ambient pool and fan out without threading a pointer through
-  /// every call site.
-  [[nodiscard]] static ThreadPool* current();
-
 private:
   struct Queue {
     std::mutex mutex;

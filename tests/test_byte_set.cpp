@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
+#include <set>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -142,58 +142,39 @@ TEST(PagedByteSet, SeededSequencesMatchBitVectorModel) {
   }
 }
 
-TEST(PagedByteSet, AbsorbMovesFullAndPartialPages) {
-  PagedByteSet left;
-  PagedByteSet right;
-  ReferenceSet ref;
-  const std::uint64_t first = (kBase + kPage - 1) / kPage;
-  // Even pages to the left, odd pages to the right: page-disjoint, so each
-  // insert's fresh count is the shared model's, and the sides' sizes only
-  // add up to it.
-  const auto insert_side = [&ref](PagedByteSet& side, std::uint64_t addr,
-                                  std::uint64_t size) {
-    EXPECT_EQ(side.insert_range(addr, size), ref.insert_range(addr, size));
-  };
-  for (std::uint64_t page = first; page < first + 6; ++page) {
-    PagedByteSet& side = page % 2 == 0 ? left : right;
-    if (page % 3 == 0) {
-      insert_side(side, page * kPage, kPage);  // Full.
-    } else {
-      insert_side(side, page * kPage + page * 11, 300);  // Partial.
-      insert_side(side, page * kPage + 2000, 64);
+TEST(PagedByteSet, PagesSharingCacheSlotsCountLikeASetOfAddresses) {
+  // Page keys 64 apart share a slot of any power-of-two cache up to 64
+  // slots: inserts alternate between them, fill one while it is cached,
+  // then keep inserting into it.
+  PagedByteSet set;
+  std::set<std::uint64_t> model;
+  const auto insert = [&](std::uint64_t addr, std::uint64_t size) {
+    std::uint64_t fresh = 0;
+    for (std::uint64_t a = addr; a < addr + size; ++a) {
+      if (model.insert(a).second) {
+        ++fresh;
+      }
     }
-  }
-  EXPECT_EQ(left.size() + right.size(), ref.count);
-  const std::uint64_t full_pages = left.page_count() -
-                                   left.bitmap_page_count() +
-                                   right.page_count() -
-                                   right.bitmap_page_count();
-  left.absorb(right);
-  EXPECT_TRUE(right.empty());
-  EXPECT_EQ(right.page_count(), 0U);
-  EXPECT_EQ(left.page_count(), 6U);
-  EXPECT_EQ(left.page_count() - left.bitmap_page_count(), full_pages);
-  expect_matches(left, ref);
-  // The absorbed pages keep behaving: fresh counts still match.
-  Rng rng{99};
-  for (int step = 0; step < 100; ++step) {
-    random_insert(left, ref, rng);
+    ASSERT_EQ(set.insert_range(addr, size), fresh)
+        << "insert [" << addr << ", +" << size << ")";
+  };
+  Rng rng{5};
+  for (int step = 0; step < 2000; ++step) {
+    const std::uint64_t page = (3 + rng.below(4) * 64) * kPage;
+    if (step % 250 == 0) {
+      insert(page, kPage);
+    } else {
+      insert(page + rng.below(kPage - 8), rng.between(1, 8));
+    }
     if (testing::Test::HasFatalFailure()) {
       return;
     }
   }
-  expect_matches(left, ref);
-  // The emptied source is reusable.
-  EXPECT_EQ(right.insert_range(kPage, kPage), kPage);
-  EXPECT_EQ(right.size(), kPage);
-}
-
-TEST(PagedByteSet, AbsorbOfOverlappingPagesThrows) {
-  PagedByteSet left;
-  PagedByteSet right;
-  (void)left.insert_range(kPage, kPage);
-  (void)right.insert_range(kPage + 5, 1);
-  EXPECT_THROW(left.absorb(right), std::logic_error);
+  EXPECT_EQ(set.size(), model.size());
+  EXPECT_EQ(set.page_count(), 4U);
+  for (const std::uint64_t addr : model) {
+    ASSERT_TRUE(set.contains(addr)) << addr;
+  }
 }
 
 }  // namespace

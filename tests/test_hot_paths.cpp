@@ -80,44 +80,54 @@ TEST(HotPaths, PassingChecksDoNotAllocate) {
 }
 
 TEST(HotPaths, TrackedAccessesDoNotAllocateOnExistingPages) {
-  prof::QuadProfiler q{prof::ProfileMode::kEager};
-  const prof::FunctionId producer = q.declare("producer");
-  const prof::FunctionId consumer = q.declare("consumer");
-  prof::TrackedBuffer<std::uint32_t> buffer{q, "buffer_with_a_long_name",
-                                            3000};
-  // Warm-up: every shadow page, footprint and UMA bitmap, the edge and the
-  // scope stack exist afterwards.
-  {
-    prof::ScopedFunction scope{q, producer};
-    for (std::size_t i = 0; i < buffer.size(); ++i) {
-      buffer.set(i, static_cast<std::uint32_t>(i));
+  for (const prof::ProfileMode mode :
+       {prof::ProfileMode::kEager, prof::ProfileMode::kDeferred}) {
+    prof::QuadProfiler q{mode};
+    const prof::FunctionId producer = q.declare("producer");
+    const prof::FunctionId consumer = q.declare("consumer");
+    prof::TrackedBuffer<std::uint32_t> buffer{q, "buffer_with_a_long_name",
+                                              3000};
+    // Warm-up: every shadow page, footprint and UMA bitmap, the edge and
+    // the scope stack exist afterwards. The last producer write ends the
+    // consumer's run, so a deferred profiler attributes it too.
+    {
+      prof::ScopedFunction scope{q, producer};
+      for (std::size_t i = 0; i < buffer.size(); ++i) {
+        buffer.set(i, static_cast<std::uint32_t>(i));
+      }
     }
-  }
-  {
-    prof::ScopedFunction scope{q, consumer};
-    for (std::size_t i = 0; i < buffer.size(); ++i) {
-      (void)buffer.get(i);
+    {
+      prof::ScopedFunction scope{q, consumer};
+      for (std::size_t i = 0; i < buffer.size(); ++i) {
+        (void)buffer.get(i);
+      }
     }
-  }
+    {
+      prof::ScopedFunction scope{q, producer};
+      buffer.set(0, 0);
+    }
 
-  std::uint64_t sum = 0;
-  const std::uint64_t before = allocations();
-  {
-    prof::ScopedFunction scope{q, producer};
-    for (std::size_t i = 0; i < 5000; ++i) {
-      buffer.set(i * 7 % buffer.size(), static_cast<std::uint32_t>(i));
+    std::uint64_t sum = 0;
+    const std::uint64_t before = allocations();
+    {
+      prof::ScopedFunction scope{q, producer};
+      for (std::size_t i = 0; i < 5000; ++i) {
+        buffer.set(i * 7 % buffer.size(), static_cast<std::uint32_t>(i));
+      }
     }
-  }
-  {
-    prof::ScopedFunction scope{q, consumer};
-    for (std::size_t i = 0; i < 5000; ++i) {
-      sum += buffer.get(i * 11 % buffer.size());
+    {
+      prof::ScopedFunction scope{q, consumer};
+      for (std::size_t i = 0; i < 5000; ++i) {
+        sum += buffer.get(i * 11 % buffer.size());
+      }
     }
+    EXPECT_EQ(allocations() - before, 0U)
+        << (mode == prof::ProfileMode::kEager ? "eager" : "deferred");
+    EXPECT_GT(sum, 0U);
+    q.finalize();
+    EXPECT_EQ(q.graph().bytes_between(producer, consumer).count(),
+              (3000U + 5000U) * sizeof(std::uint32_t));
   }
-  EXPECT_EQ(allocations() - before, 0U);
-  EXPECT_GT(sum, 0U);
-  EXPECT_EQ(q.graph().bytes_between(producer, consumer).count(),
-            (3000U + 5000U) * sizeof(std::uint32_t));
 }
 
 TEST(HotPaths, WholePageInsertsAllocateNoBitmap) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hybridic::prof {
 namespace {
@@ -172,12 +171,12 @@ TEST(QuadProfiler, AllocationAlignment) {
 }
 
 // ---------------------------------------------------------------------------
-// Deferred mode: trace replay must reproduce eager attribution exactly.
+// Deferred mode: attributing coalesced runs must reproduce eager
+// attribution exactly.
 // ---------------------------------------------------------------------------
 
 /// A deterministic workload with page-crossing accesses, overwrites,
-/// repeated reads, nested scopes, and enough events (> the serial-replay
-/// threshold) to exercise the sharded replay path.
+/// repeated reads and nested scopes.
 void run_workload(QuadProfiler& q) {
   const FunctionId a = q.declare("a");
   const FunctionId b = q.declare("b");
@@ -229,35 +228,9 @@ void expect_same_profile(const QuadProfiler& x, const QuadProfiler& y) {
   EXPECT_EQ(x.call_order(), y.call_order());
 }
 
-TEST(QuadDeferred, SerialReplayMatchesEager) {
-  QuadProfiler eager{ProfileMode::kEager};
-  run_workload(eager);
-  QuadProfiler deferred{ProfileMode::kDeferred};
-  run_workload(deferred);
-  EXPECT_GT(deferred.pending_events(), 0U);
-  EXPECT_TRUE(deferred.graph().edges().empty());  // Not yet attributed.
-  deferred.finalize();
-  EXPECT_EQ(deferred.pending_events(), 0U);
-  expect_same_profile(eager, deferred);
-}
-
-TEST(QuadDeferred, ShardedReplayIsThreadCountInvariant) {
-  QuadProfiler eager{ProfileMode::kEager};
-  run_workload(eager);
-  for (const std::size_t threads : {2U, 4U, 7U}) {
-    ThreadPool pool{threads};
-    QuadProfiler deferred{ProfileMode::kDeferred};
-    run_workload(deferred);
-    deferred.finalize(&pool);
-    expect_same_profile(eager, deferred);
-  }
-}
-
 /// Whole-page writes (which leave shadow pages uniform) interleaved with
 /// page-straddling reads and partial overwrites (which split them), with
-/// no two consecutive events coalescing: well over the serial-replay
-/// threshold, so a pool replays it sharded and each shard's uniform pages
-/// are absorbed into the merged shadow.
+/// no two consecutive accesses coalescing.
 void run_page_workload(QuadProfiler& q) {
   constexpr std::uint64_t kPage = ShadowMemory::kPageBytes;
   const FunctionId a = q.declare("a");
@@ -280,14 +253,72 @@ void run_page_workload(QuadProfiler& q) {
   }
 }
 
-TEST(QuadDeferred, ShardedReplayOfUniformPagesMatchesEager) {
+/// Sequential element accesses, as the applications make them: most
+/// coalesce into runs, one across a re-entered scope and some covering
+/// whole pages, while interleaved writes to another buffer and zero-size
+/// reads end runs.
+void run_element_workload(QuadProfiler& q) {
+  constexpr std::uint64_t kElements = 6000;
+  const FunctionId a = q.declare("a");
+  const FunctionId b = q.declare("b");
+  const std::uint64_t in = q.allocate(kElements * 4);
+  const std::uint64_t out = q.allocate(kElements * 4);
+  for (std::uint64_t half = 0; half < 2; ++half) {
+    q.enter(a);
+    for (std::uint64_t i = half * kElements / 2;
+         i < (half + 1) * kElements / 2; ++i) {
+      q.record_write(in + i * 4, 4);
+    }
+    q.leave();
+  }
+  for (std::uint64_t pass = 0; pass < 2; ++pass) {
+    q.enter(b);
+    for (std::uint64_t i = 0; i < kElements; ++i) {
+      q.record_read(in + i * 4, 4);
+      if (i % 1000 == 999) {
+        q.record_read(in, 0);
+      }
+      if (i % 3 == pass) {
+        q.record_write(out + i * 4, 4);
+      }
+    }
+    q.leave();
+  }
+  q.enter(a);
+  for (std::uint64_t i = 0; i < kElements; ++i) {
+    q.record_read(out + i * 4, 4);
+  }
+  q.leave();
+}
+
+TEST(QuadDeferred, SerialReplayMatchesEager) {
+  using Workload = void (*)(QuadProfiler&);
+  for (const Workload run :
+       {Workload{&run_workload}, Workload{&run_element_workload}}) {
+    QuadProfiler eager{ProfileMode::kEager};
+    run(eager);
+    QuadProfiler deferred{ProfileMode::kDeferred};
+    run(deferred);
+    // snapshot() attributes the last run, as finalize() and seal() do.
+    const ProfileSnapshot snap = deferred.snapshot();
+    EXPECT_EQ(snap.edges.size(), eager.graph().edges().size());
+    expect_same_profile(eager, deferred);
+    // Every workload's buffers lie in the first 66 pages.
+    for (std::uint64_t addr = 0; addr < 66 * ShadowMemory::kPageBytes;
+         ++addr) {
+      ASSERT_EQ(eager.shadow().last_writer(addr),
+                deferred.shadow().last_writer(addr))
+          << addr;
+    }
+  }
+}
+
+TEST(QuadDeferred, UniformPagesMatchEager) {
   QuadProfiler eager{ProfileMode::kEager};
   run_page_workload(eager);
-  ThreadPool pool{4};
   QuadProfiler deferred{ProfileMode::kDeferred};
   run_page_workload(deferred);
-  ASSERT_GE(deferred.pending_events(), 4096U);
-  deferred.finalize(&pool);
+  deferred.finalize();
   expect_same_profile(eager, deferred);
   const ShadowMemory& x = eager.shadow();
   const ShadowMemory& y = deferred.shadow();
@@ -431,7 +462,6 @@ TEST_P(QuadSeal, SealFreesShadowKeepsScanCountAndIsIdempotent) {
   EXPECT_EQ(q.shadow().page_count(), 0U);
   EXPECT_EQ(q.shadow().split_page_count(), 0U);
   EXPECT_EQ(q.shadow().scan_count(), scans);
-  EXPECT_EQ(q.pending_events(), 0U);
   const std::uint64_t sealed_bytes = q.approx_memory_bytes();
   EXPECT_LT(sealed_bytes * 10, unsealed_bytes);
   q.seal();  // Idempotent.

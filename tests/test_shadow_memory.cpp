@@ -15,7 +15,7 @@ constexpr std::uint64_t kPage = ShadowMemory::kPageBytes;
 
 using Run = std::tuple<std::uint64_t, std::uint64_t, FunctionId>;
 
-std::vector<Run> scan_runs(const ShadowMemory& shadow, std::uint64_t addr,
+std::vector<Run> scan_runs(ShadowMemory& shadow, std::uint64_t addr,
                            std::uint64_t size) {
   std::vector<Run> runs;
   shadow.scan(addr, size,
@@ -55,7 +55,7 @@ struct ReferenceShadow {
   }
 };
 
-void expect_matches(const ShadowMemory& shadow, const ReferenceShadow& ref,
+void expect_matches(ShadowMemory& shadow, const ReferenceShadow& ref,
                     Rng& rng) {
   // Every byte, one page of margin either side.
   const std::uint64_t lo = ref.base - kPage;
@@ -209,13 +209,15 @@ TEST(ShadowMemory, PagesSplitOnlyOnPartialWritesByAnotherWriter) {
   EXPECT_EQ(shadow.last_writer(5 * kPage), kNoWriter);
 }
 
-TEST(ShadowMemory, MatchesByteArrayReference) {
+/// Seeded writes into a `pages`-page window, with every byte and a few
+/// scans checked against the byte-array model every 60 writes.
+void check_against_reference(std::uint64_t pages, int writes) {
   for (const std::uint64_t seed : {1U, 2U, 3U, 4U}) {
     Rng rng{seed};
     ShadowMemory shadow;
-    ReferenceShadow ref{9 * kPage, std::vector<FunctionId>(6 * kPage,
+    ReferenceShadow ref{9 * kPage, std::vector<FunctionId>(pages * kPage,
                                                            kNoWriter)};
-    for (int op = 1; op <= 300; ++op) {
+    for (int op = 1; op <= writes; ++op) {
       random_write(shadow, ref, rng);
       if (op % 60 == 0) {
         expect_matches(shadow, ref, rng);
@@ -224,39 +226,14 @@ TEST(ShadowMemory, MatchesByteArrayReference) {
   }
 }
 
-TEST(ShadowMemory, AbsorbKeepsUniformAndSplitPages) {
-  Rng rng{11};
-  ShadowMemory even;
-  ShadowMemory odd;
-  ReferenceShadow ref{4 * kPage, std::vector<FunctionId>(8 * kPage,
-                                                         kNoWriter)};
-  // Page-disjoint halves, as the sharded replay builds them: even pages
-  // whole-page written (uniform), odd pages with partial writes (split).
-  for (std::uint64_t page = 0; page < 8; ++page) {
-    const std::uint64_t addr = ref.base + page * kPage;
-    const auto writer = static_cast<FunctionId>(page % 3);
-    if (page % 2 == 0) {
-      even.write(addr, kPage, writer);
-      ref.write(addr, kPage, writer);
-    } else {
-      const std::uint64_t offset = rng.below(kPage / 2);
-      odd.write(addr + offset, kPage / 4, writer);
-      ref.write(addr + offset, kPage / 4, writer);
-    }
-  }
-  EXPECT_EQ(even.split_page_count(), 0U);
-  EXPECT_EQ(odd.split_page_count(), 4U);
-  even.absorb(odd);
-  EXPECT_EQ(odd.page_count(), 0U);
-  EXPECT_EQ(odd.split_page_count(), 0U);
-  EXPECT_EQ(even.page_count(), 8U);
-  EXPECT_EQ(even.split_page_count(), 4U);
-  expect_matches(even, ref, rng);
-  // The merged shadow keeps taking writes like one built in one piece.
-  for (int op = 0; op < 100; ++op) {
-    random_write(even, ref, rng);
-  }
-  expect_matches(even, ref, rng);
+TEST(ShadowMemory, MatchesByteArrayReference) {
+  check_against_reference(6, 300);
+}
+
+TEST(ShadowMemory, PagesSharingCacheSlotsMatchByteArrayReference) {
+  // Forty pages: more than the page cache holds, so pages that share a
+  // slot evict each other between writes and scans.
+  check_against_reference(40, 240);
 }
 
 }  // namespace
