@@ -294,10 +294,7 @@ DesignResult build_design(const DesignInput& input,
         }
       }
     }
-    const PlacementResult placement =
-        input.anneal_placement
-            ? place_attachments_annealed(problem, input.placement_seed)
-            : place_attachments(problem);
+    const PlacementResult placement = place_attachments(problem);
     NocPlan plan;
     plan.mesh_width = placement.mesh.width();
     plan.mesh_height = placement.mesh.height();

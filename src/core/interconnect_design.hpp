@@ -40,12 +40,6 @@ struct DesignInput {
   bool enable_adaptive_mapping = true;
   bool enable_parallel = true;
   bool enable_duplication = true;
-
-  /// Refine the deterministic greedy/hill-climb NoC placement with
-  /// simulated annealing (useful above ~10 attachments). Deterministic
-  /// for a fixed seed.
-  bool anneal_placement = false;
-  std::uint64_t placement_seed = 1;
 };
 
 /// One shared-local-memory pairing decision, stated over spec indices

@@ -4,17 +4,14 @@
 // the NoC routers in such a way that the distance of these routers is
 // shortest" — ideally adjacent. We minimize Σ traffic(a,b) · hops(a,b) with
 // a deterministic greedy construction followed by pairwise-swap hill
-// climbing (optimal for the small attachment counts real designs produce;
-// an optional annealing refinement handles large synthetic instances).
+// climbing (optimal for the small attachment counts real designs produce).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <tuple>
 #include <vector>
 
 #include "noc/topology.hpp"
-#include "util/rng.hpp"
 
 namespace hybridic::core {
 
@@ -41,11 +38,5 @@ struct PlacementResult {
 /// Greedy + hill-climb placement (deterministic).
 [[nodiscard]] PlacementResult place_attachments(
     const PlacementProblem& problem);
-
-/// Annealing refinement on top of the deterministic placement; useful for
-/// attachment counts above ~10. Deterministic given the seed.
-[[nodiscard]] PlacementResult place_attachments_annealed(
-    const PlacementProblem& problem, std::uint64_t seed,
-    std::uint32_t iterations = 20000);
 
 }  // namespace hybridic::core

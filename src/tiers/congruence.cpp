@@ -1,10 +1,9 @@
 #include "tiers/congruence.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <numeric>
-#include <set>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -15,40 +14,58 @@
 namespace hybridic::tiers {
 namespace {
 
-using util::hexf;
+/// Append `value` in decimal, as operator<< prints it.
+template <typename Int>
+void append(std::string& out, Int value) {
+  char digits[24];
+  out.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), value).ptr);
+}
+
+/// Sort `lines` and drop repeats: the order and content of a std::set.
+void sort_unique(std::vector<std::string>& lines) {
+  std::sort(lines.begin(), lines.end());
+  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+}
 
 /// The order-free part of one instance's record: everything about it
 /// except references to other instances.
 std::string instance_record(const core::KernelInstance& inst,
                             const sys::AppSchedule& schedule,
                             const core::DesignResult& design) {
-  std::ostringstream out;
-  out << 'i' << static_cast<int>(inst.mapping.kernel) << ':'
-      << static_cast<int>(inst.mapping.memory) << ':'
-      << static_cast<int>(inst.comm_class.recv) << ':'
-      << static_cast<int>(inst.comm_class.send) << ':' << hexf(inst.work_share)
-      << ':' << inst.quantities.host_in.count() << ':'
-      << inst.quantities.kernel_in.count() << ':'
-      << inst.quantities.host_out.count() << ':'
-      << inst.quantities.kernel_out.count() << ':'
-      << inst.residual.host_in.count() << ':'
-      << inst.residual.kernel_in.count() << ':'
-      << inst.residual.host_out.count() << ':'
-      << inst.residual.kernel_out.count() << ':'
-      << schedule.specs[inst.spec_index].hw_compute_cycles.count();
+  std::string out{"i"};
+  append(out, static_cast<int>(inst.mapping.kernel));
+  out += ':';
+  append(out, static_cast<int>(inst.mapping.memory));
+  out += ':';
+  append(out, static_cast<int>(inst.comm_class.recv));
+  out += ':';
+  append(out, static_cast<int>(inst.comm_class.send));
+  out += ':';
+  out += util::hexf(inst.work_share);
+  for (const std::uint64_t count :
+       {inst.quantities.host_in.count(), inst.quantities.kernel_in.count(),
+        inst.quantities.host_out.count(), inst.quantities.kernel_out.count(),
+        inst.residual.host_in.count(), inst.residual.kernel_in.count(),
+        inst.residual.host_out.count(), inst.residual.kernel_out.count(),
+        schedule.specs[inst.spec_index].hw_compute_cycles.count()}) {
+    out += ':';
+    append(out, count);
+  }
   // Mesh placement is part of the fabric: same structure on different
   // nodes routes differently, so the nodes are part of the record.
   if (design.noc.has_value()) {
     const char* sep = ":n";
     for (const core::NocAttachment& a : design.noc->attachments) {
       if (design.instances[a.instance].function == inst.function) {
-        out << sep << (a.kind == core::NocNodeKind::kKernel ? 'k' : 'm')
-            << a.node;
+        out += sep;
+        out += a.kind == core::NocNodeKind::kKernel ? 'k' : 'm';
+        append(out, a.node);
         sep = ",";
       }
     }
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace
@@ -87,72 +104,87 @@ std::string congruence_signature(const sys::AppSchedule& schedule,
     }
   }
 
-  std::ostringstream out;
-  out << "theta=" << hexf(theta_seconds_per_byte) << ';';
+  std::string out{"theta="};
+  out += util::hexf(theta_seconds_per_byte);
+  out += ';';
   if (design.noc.has_value()) {
-    out << "mesh=" << design.noc->mesh_width << 'x'
-        << design.noc->mesh_height << ';';
+    out += "mesh=";
+    append(out, design.noc->mesh_width);
+    out += 'x';
+    append(out, design.noc->mesh_height);
+    out += ';';
   } else {
-    out << "mesh=none;";
+    out += "mesh=none;";
   }
   for (const std::size_t index : order) {
-    out << records[index] << ';';
+    out += records[index];
+    out += ';';
   }
 
   // Shared pairs and the parallel plan, renumbered and sorted.
-  std::set<std::string> lines;
+  std::vector<std::string> lines;
   for (const core::SharedMemoryPairing& pair : design.shared_pairs) {
-    std::ostringstream line;
-    line << "s" << canonical[pair.producer_instance] << '>'
-         << canonical[pair.consumer_instance] << ':' << pair.bytes.count()
-         << ':' << (pair.style == mem::SharingStyle::kDirect ? 'd' : 'x');
-    lines.insert(line.str());
+    std::string line{"s"};
+    append(line, canonical[pair.producer_instance]);
+    line += '>';
+    append(line, canonical[pair.consumer_instance]);
+    line += ':';
+    append(line, pair.bytes.count());
+    line += ':';
+    line += pair.style == mem::SharingStyle::kDirect ? 'd' : 'x';
+    lines.push_back(std::move(line));
   }
   for (const std::size_t inst : design.parallel.host_pipelined) {
-    lines.insert("p1:" + std::to_string(canonical[inst]));
+    lines.push_back("p1:" + std::to_string(canonical[inst]));
   }
   for (const core::StreamedEdge& edge : design.parallel.streamed) {
-    lines.insert("p2:" + std::to_string(canonical[edge.producer_instance]) +
-                 '>' + std::to_string(canonical[edge.consumer_instance]));
+    lines.push_back("p2:" + std::to_string(canonical[edge.producer_instance]) +
+                    '>' + std::to_string(canonical[edge.consumer_instance]));
   }
   for (const std::size_t spec : design.parallel.duplicated_specs) {
     // Specs renumber through their function's canonical rank.
-    lines.insert("p3:" +
-                 std::to_string(fn_rank[schedule.specs[spec].function]));
+    lines.push_back("p3:" +
+                    std::to_string(fn_rank[schedule.specs[spec].function]));
   }
+  sort_unique(lines);
   for (const std::string& line : lines) {
-    out << line << ';';
+    out += line;
+    out += ';';
   }
 
   // Per-edge unique bytes between profiled functions, renumbered where a
   // function is instantiated (host functions keep a stable h<id> label:
   // they are never relabeled by Algorithm 1).
   if (schedule.graph != nullptr) {
-    std::set<std::string> edges;
+    const auto append_end = [&fn_rank](std::string& line,
+                                       prof::FunctionId fn) {
+      const auto rank = fn_rank.find(fn);
+      if (rank != fn_rank.end()) {
+        line += 'k';
+        append(line, rank->second);
+      } else {
+        line += 'h';
+        append(line, fn);
+      }
+    };
+    std::vector<std::string> edges;
+    edges.reserve(schedule.graph->edges().size());
     for (const prof::CommEdge& edge : schedule.graph->edges()) {
-      const auto producer = fn_rank.find(edge.producer);
-      const auto consumer = fn_rank.find(edge.consumer);
-      std::ostringstream line;
-      line << 'e';
-      if (producer != fn_rank.end()) {
-        line << 'k' << producer->second;
-      } else {
-        line << 'h' << edge.producer;
-      }
-      line << '>';
-      if (consumer != fn_rank.end()) {
-        line << 'k' << consumer->second;
-      } else {
-        line << 'h' << edge.consumer;
-      }
-      line << ':' << core::edge_volume(edge).count();
-      edges.insert(line.str());
+      std::string line{"e"};
+      append_end(line, edge.producer);
+      line += '>';
+      append_end(line, edge.consumer);
+      line += ':';
+      append(line, core::edge_volume(edge).count());
+      edges.push_back(std::move(line));
     }
+    sort_unique(edges);
     for (const std::string& edge : edges) {
-      out << edge << ';';
+      out += edge;
+      out += ';';
     }
   }
-  return out.str();
+  return out;
 }
 
 std::uint64_t congruence_key_of(const std::string& signature) {

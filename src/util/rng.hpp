@@ -1,7 +1,7 @@
 // Deterministic seeded random number generation.
 //
 // Everything in HybridIC that needs randomness (workload generators,
-// synthetic traffic, annealing placement) takes an explicit Rng so runs
+// synthetic traffic, the annealing search) takes an explicit Rng so runs
 // are reproducible bit-for-bit.
 #pragma once
 

@@ -268,29 +268,6 @@ TEST(Design, InvalidInputRejected) {
   EXPECT_THROW((void)design_interconnect(empty), ConfigError);
 }
 
-TEST(Design, AnnealedPlacementIsValidAndDeterministic) {
-  apps::SyntheticConfig config;
-  config.seed = 91;
-  config.kernel_count = 10;
-  const apps::ProfiledApp app = apps::make_synthetic_app(config);
-  const sys::AppSchedule schedule = app.schedule();
-  DesignInput in;
-  in.graph = schedule.graph;
-  in.kernels = schedule.specs;
-  in.theta.seconds_per_byte = 10e-9;
-  in.anneal_placement = true;
-  in.placement_seed = 7;
-  const DesignResult a = design_interconnect(in);
-  const DesignResult b = design_interconnect(in);
-  ASSERT_TRUE(a.uses_noc());
-  ASSERT_EQ(a.noc->attachments.size(), b.noc->attachments.size());
-  std::set<std::uint32_t> nodes;
-  for (std::size_t i = 0; i < a.noc->attachments.size(); ++i) {
-    EXPECT_EQ(a.noc->attachments[i].node, b.noc->attachments[i].node);
-    EXPECT_TRUE(nodes.insert(a.noc->attachments[i].node).second);
-  }
-}
-
 /// Property checks over synthetic applications.
 class DesignProperties : public ::testing::TestWithParam<std::uint64_t> {};
 

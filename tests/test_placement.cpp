@@ -97,42 +97,12 @@ TEST(Placement, DeterministicAcrossCalls) {
   EXPECT_EQ(a.cost, b.cost);
 }
 
-TEST(PlacementAnnealed, NeverWorseThanGreedy) {
-  Rng rng{99};
-  for (int trial = 0; trial < 5; ++trial) {
-    PlacementProblem problem;
-    problem.attachment_count = 10;
-    for (std::uint32_t a = 0; a < 10; ++a) {
-      for (std::uint32_t b = a + 1; b < 10; ++b) {
-        if (rng.chance(0.4)) {
-          problem.traffic.emplace_back(a, b, rng.between(1, 1000));
-        }
-      }
-    }
-    const PlacementResult greedy = place_attachments(problem);
-    const PlacementResult annealed =
-        place_attachments_annealed(problem, 1234, 5000);
-    EXPECT_LE(annealed.cost, greedy.cost);
-  }
-}
-
-TEST(PlacementAnnealed, DeterministicForSeed) {
-  PlacementProblem problem;
-  problem.attachment_count = 8;
-  problem.traffic = {{0, 7, 100}, {1, 6, 90}, {2, 5, 80}, {3, 4, 70}};
-  const PlacementResult a = place_attachments_annealed(problem, 5, 2000);
-  const PlacementResult b = place_attachments_annealed(problem, 5, 2000);
-  EXPECT_EQ(a.node_of, b.node_of);
-}
-
-/// Both solvers price each candidate swap incrementally, from the pairs
-/// touching the two swapped attachments. Over 200 seeded random problems
-/// (1-18 attachments, random density, traffic up to 1e9 bytes, repeated
-/// pairs) they must return exactly the assignments and costs of pricing
-/// every candidate with a full recomputation: the digest below was
-/// recorded from that implementation.
+/// Over 200 seeded random problems (1-18 attachments, random density,
+/// traffic up to 1e9 bytes, repeated pairs) the solver must return exactly
+/// the assignments and costs recorded from the greedy + first-improvement
+/// hill climb that priced every candidate swap in O(n).
 TEST(Placement, SeededProblemsMatchRecordedDigest) {
-  constexpr std::uint64_t kRecordedDigest = 493879247701662953ULL;
+  constexpr std::uint64_t kRecordedDigest = 1575361226908203841ULL;
   Rng rng{2024};
   std::string record;
   for (int trial = 0; trial < 200; ++trial) {
@@ -146,19 +116,158 @@ TEST(Placement, SeededProblemsMatchRecordedDigest) {
         }
       }
     }
-    const PlacementResult greedy = place_attachments(problem);
-    const PlacementResult annealed =
-        place_attachments_annealed(problem, rng.next(), 2000);
-    for (const PlacementResult* result : {&greedy, &annealed}) {
-      EXPECT_EQ(result->cost,
-                placement_cost(problem, result->mesh, result->node_of));
-      for (const std::uint32_t node : result->node_of) {
-        record += std::to_string(node) + ",";
-      }
-      record += std::to_string(result->cost) + ";";
+    const PlacementResult result = place_attachments(problem);
+    EXPECT_EQ(result.cost,
+              placement_cost(problem, result.mesh, result.node_of));
+    for (const std::uint32_t node : result.node_of) {
+      record += std::to_string(node) + ",";
     }
+    record += std::to_string(result.cost) + ";";
   }
   EXPECT_EQ(util::fnv1a64(record), kRecordedDigest);
+}
+
+/// Reference solver whose results place_attachments must equal: the same
+/// greedy (descending total traffic, each attachment on the free node of
+/// least cost to its placed peers, lowest node id on ties) and the same
+/// first-improvement hill climb, restarting at (0, 1) after every
+/// improving swap, with each candidate node and swap priced from
+/// Mesh2D::distance over the peers in O(n).
+PlacementResult reference_place(const PlacementProblem& problem) {
+  const std::uint32_t n = problem.attachment_count;
+  std::vector<std::uint64_t> traffic(static_cast<std::size_t>(n) * n, 0);
+  for (const auto& [a, b, bytes] : problem.traffic) {
+    traffic[a * n + b] += bytes;
+    traffic[b * n + a] += bytes;
+  }
+  const auto at = [&traffic, n](std::uint32_t a, std::uint32_t b) {
+    return traffic[a * n + b];
+  };
+  const auto total_for = [&at, n](std::uint32_t a) {
+    std::uint64_t sum = 0;
+    for (std::uint32_t b = 0; b < n; ++b) {
+      sum += at(a, b);
+    }
+    return sum;
+  };
+  const noc::Mesh2D mesh = noc::Mesh2D::fitting(n);
+
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&total_for](std::uint32_t a, std::uint32_t b) {
+                     return total_for(a) > total_for(b);
+                   });
+  std::vector<bool> node_used(mesh.node_count(), false);
+  std::vector<bool> placed(n, false);
+  std::vector<std::uint32_t> node_of(n, 0);
+  const std::uint32_t center =
+      mesh.id_of({mesh.width() / 2, mesh.height() / 2});
+  node_of[order[0]] = center;
+  node_used[center] = true;
+  placed[order[0]] = true;
+  for (std::uint32_t k = 1; k < n; ++k) {
+    const std::uint32_t item = order[k];
+    std::uint64_t best_cost = UINT64_MAX;
+    std::uint32_t best_node = 0;
+    for (std::uint32_t node = 0; node < mesh.node_count(); ++node) {
+      if (node_used[node]) {
+        continue;
+      }
+      std::uint64_t incremental = 0;
+      for (std::uint32_t other = 0; other < n; ++other) {
+        if (placed[other]) {
+          incremental += at(item, other) * mesh.distance(node, node_of[other]);
+        }
+      }
+      if (incremental < best_cost) {
+        best_cost = incremental;
+        best_node = node;
+      }
+    }
+    node_of[item] = best_node;
+    node_used[best_node] = true;
+    placed[item] = true;
+  }
+
+  const auto swapped_cost = [&](std::uint64_t cost, std::uint32_t a,
+                                std::uint32_t b) {
+    std::uint64_t removed = 0;
+    std::uint64_t added = 0;
+    for (std::uint32_t c = 0; c < n; ++c) {
+      if (c != a && c != b) {
+        removed += at(a, c) * mesh.distance(node_of[a], node_of[c]) +
+                   at(b, c) * mesh.distance(node_of[b], node_of[c]);
+        added += at(a, c) * mesh.distance(node_of[b], node_of[c]) +
+                 at(b, c) * mesh.distance(node_of[a], node_of[c]);
+      }
+    }
+    return cost - removed + added;
+  };
+  std::uint64_t cost = 0;
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (std::uint32_t b = a + 1; b < n; ++b) {
+      cost += at(a, b) * mesh.distance(node_of[a], node_of[b]);
+    }
+  }
+  for (bool improved = true; improved;) {
+    improved = false;
+    for (std::uint32_t a = 0; a < n && !improved; ++a) {
+      for (std::uint32_t b = a + 1; b < n && !improved; ++b) {
+        const std::uint64_t candidate = swapped_cost(cost, a, b);
+        if (candidate < cost) {
+          std::swap(node_of[a], node_of[b]);
+          cost = candidate;
+          improved = true;
+        }
+      }
+    }
+  }
+  return PlacementResult{mesh, std::move(node_of), cost};
+}
+
+/// place_attachments against the reference on 300 seeded problems of
+/// 1-48 attachments, cycling through four shapes: dense, sparse, repeated
+/// pairs and attachments that carry no traffic at all. Traffic is drawn
+/// from 1-3 bytes (ties everywhere), up to 1e9 bytes, or up to 2^62 bytes
+/// (costs wrap modulo 2^64, where pricing must still be exact).
+TEST(Placement, MatchesReferenceSolverOnSeededProblems) {
+  Rng rng{1917};
+  for (int trial = 0; trial < 300; ++trial) {
+    PlacementProblem problem;
+    const auto n = static_cast<std::uint32_t>(rng.between(1, 48));
+    problem.attachment_count = n;
+    const std::uint64_t max_bytes =
+        trial % 3 == 0 ? 3 : (trial % 3 == 1 ? 1000000000 : 1ULL << 62);
+    const int shape = trial % 4;
+    const double density = shape == 0   ? 0.5 + 0.5 * rng.uniform()
+                           : shape == 1 ? 0.15 * rng.uniform()
+                                        : 0.4 * rng.uniform();
+    std::vector<bool> silent(n, false);
+    if (shape == 3) {
+      for (std::uint32_t a = 0; a < n; ++a) {
+        silent[a] = rng.chance(0.4);
+      }
+    }
+    for (std::uint32_t a = 0; a < n; ++a) {
+      for (std::uint32_t b = a + 1; b < n; ++b) {
+        if (silent[a] || silent[b] || !rng.chance(density)) {
+          continue;
+        }
+        do {
+          problem.traffic.emplace_back(a, b, rng.between(1, max_bytes));
+        } while (shape == 2 && rng.chance(0.5));
+      }
+    }
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << ", " << n
+                                      << " attachments");
+    const PlacementResult expected = reference_place(problem);
+    const PlacementResult actual = place_attachments(problem);
+    ASSERT_EQ(actual.mesh.width(), expected.mesh.width());
+    ASSERT_EQ(actual.mesh.height(), expected.mesh.height());
+    ASSERT_EQ(actual.node_of, expected.node_of);
+    ASSERT_EQ(actual.cost, expected.cost);
+  }
 }
 
 /// Property sweep: placement cost is bounded below by total traffic (every

@@ -14,9 +14,12 @@
 #include "dse/campaign.hpp"
 #include "dse/case_runner.hpp"
 #include "noc/topology.hpp"
+#include "search/anneal.hpp"
+#include "sys/experiment.hpp"
 #include "tiers/analytic.hpp"
 #include "tiers/congruence.hpp"
 #include "tiers/tiered_evaluator.hpp"
+#include "util/hash.hpp"
 
 namespace hybridic::tiers {
 namespace {
@@ -173,6 +176,60 @@ TEST(Congruence, DistinctDesignsGetDistinctKeys) {
   const AnalyticCase b =
       evaluator.analyze(dse::sample_config(dse::SweepSpace{}, 11, 2));
   EXPECT_NE(a.estimate.congruence_key, b.estimate.congruence_key);
+}
+
+/// The signature's bytes, not just its keys, are pinned: the recorded
+/// digest covers the proposed and NoC-only designs of the first 200
+/// sampled configs of campaign seed 1, and every candidate one seeded
+/// search (the serve defaults: 2 restarts x 60 iterations) hands to its
+/// legality gate. Between them they include designs without a NoC and
+/// with duplicated kernels, streamed edges and shared memories.
+TEST(Congruence, SignatureBytesMatchRecordedDigest) {
+  constexpr std::uint64_t kRecordedDigest = 12976740905406484754ULL;
+  constexpr std::size_t kRecordedCount = 523;
+  std::string record;
+  std::size_t count = 0;
+  std::size_t without_noc = 0;
+  std::size_t duplicated = 0;
+  std::size_t streamed = 0;
+  std::size_t shared = 0;
+  const auto add = [&](const sys::AppSchedule& schedule,
+                       const core::DesignResult& design, double theta) {
+    record += congruence_signature(schedule, design, theta);
+    record += '\n';
+    ++count;
+    without_noc += design.noc.has_value() ? 0u : 1u;
+    duplicated += design.parallel.duplicated_specs.empty() ? 0u : 1u;
+    streamed += design.parallel.streamed.empty() ? 0u : 1u;
+    shared += design.shared_pairs.empty() ? 0u : 1u;
+  };
+  TieredEvaluator evaluator;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const AnalyticCase c =
+        evaluator.analyze(dse::sample_config(dse::SweepSpace{}, 1, i));
+    add(c.schedule, c.proposed, c.theta_seconds_per_byte);
+    add(c.schedule, c.noc_only, c.theta_seconds_per_byte);
+  }
+  const AnalyticCase searched =
+      evaluator.analyze(dse::sample_config(dse::SweepSpace{}, 1, 0));
+  const core::DesignInput input =
+      sys::make_design_input(searched.schedule, evaluator.platform());
+  search::AnnealOptions options;
+  options.restarts = 2;
+  options.iterations = 60;
+  options.gate = [&](const sys::AppSchedule& schedule,
+                     const core::DesignResult& design) {
+    add(schedule, design, input.theta.seconds_per_byte);
+    return search::default_gate(schedule, design);
+  };
+  (void)search::anneal_interconnect(searched.schedule, input,
+                                    evaluator.platform(), options);
+  EXPECT_GT(without_noc, 0u);
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_GT(streamed, 0u);
+  EXPECT_GT(shared, 0u);
+  EXPECT_EQ(count, kRecordedCount);
+  EXPECT_EQ(util::fnv1a64(record), kRecordedDigest);
 }
 
 TEST(Congruence, CacheComputesOncePerKey) {
