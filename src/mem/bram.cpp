@@ -39,9 +39,4 @@ Bytes Bram::bytes_through(BramPort port) const {
   return ports_[static_cast<std::size_t>(port)].bytes_transferred();
 }
 
-void Bram::reset() {
-  ports_[0].reset();
-  ports_[1].reset();
-}
-
 }  // namespace hybridic::mem

@@ -41,8 +41,6 @@ public:
   [[nodiscard]] Bytes capacity() const { return capacity_; }
   [[nodiscard]] Bytes bytes_through(BramPort port) const;
 
-  void reset();
-
   /// Enable bit-flip fault injection; `site` identifies this BRAM's RNG
   /// stream (the owning kernel-instance index). Null disables.
   void set_faults(faults::FaultInjector* injector, std::uint64_t site) {

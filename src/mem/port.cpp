@@ -28,10 +28,4 @@ Picoseconds Port::reserve(Picoseconds earliest, Bytes bytes) {
   return done;
 }
 
-void Port::reset() {
-  free_at_ = Picoseconds{0};
-  bytes_transferred_ = Bytes{0};
-  transfers_ = 0;
-}
-
 }  // namespace hybridic::mem

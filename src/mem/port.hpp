@@ -36,8 +36,6 @@ public:
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint32_t width_bytes() const { return width_bytes_; }
 
-  void reset();
-
 private:
   std::string name_;
   const sim::ClockDomain* clock_;

@@ -40,8 +40,6 @@ public:
   }
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  void reset() { channel_.reset(); }
-
   /// Enable bit-flip fault injection on this controller (null disables).
   void set_faults(faults::FaultInjector* injector) { faults_ = injector; }
 

@@ -2,9 +2,10 @@
 //
 // The NoC follows the architecture of Heisswolf et al. (the router the paper
 // adapts, Table II: 309 LUTs / 353 registers @150 MHz): wormhole switching
-// with 32-bit flits and weighted-round-robin output arbitration. A message
-// is split into packets; a packet is HEAD + payload flits, the last marked
-// TAIL (or a single HEAD_TAIL for header-only packets).
+// with 32-bit flits and round-robin output arbitration (their weighted
+// round-robin at unit weights). A message is split into packets; a packet
+// is HEAD + payload flits, the last marked TAIL (or a single HEAD_TAIL for
+// header-only packets).
 #pragma once
 
 #include <cstdint>

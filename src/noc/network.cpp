@@ -31,7 +31,7 @@ Network::Network(std::string name, sim::Engine& engine,
           mesh_.neighbor(id, static_cast<PortDir>(port)).value_or(kNoNeighbor);
     }
   }
-  ticking_handle_ = engine_->add_ticking(*this, clock);
+  engine_->attach_ticking(*this, clock);
 }
 
 Adapter& Network::attach_adapter(std::uint32_t node, std::string name,
@@ -158,7 +158,7 @@ bool Network::handle_corrupt_packet(std::uint32_t dest_node,
       [this, source, dest_node, message_id, packet_id, payload_flits] {
         source->resend_packet(dest_node, message_id, packet_id,
                               payload_flits);
-        engine_->activate(ticking_handle_);
+        engine_->activate();
       });
   return true;
 }
@@ -223,7 +223,7 @@ std::uint64_t Network::send(std::uint32_t source, std::uint32_t destination,
         }
       });
   adapters_[source]->enqueue_message(destination, id, bytes);
-  engine_->activate(ticking_handle_);
+  engine_->activate();
   return id;
 }
 

@@ -40,7 +40,8 @@ struct NetworkStats {
   std::uint64_t messages_delivered = 0;
 };
 
-/// A mesh NoC instance bound to a simulation engine and clock domain.
+/// A mesh NoC instance bound to a simulation engine and clock domain. It
+/// is the engine's clocked component, so an engine hosts at most one.
 class Network : public sim::Ticking {
 public:
   Network(std::string name, sim::Engine& engine,
@@ -142,7 +143,6 @@ private:
   /// Per-input current output assignment for in-flight packets.
   std::vector<std::array<std::optional<PortDir>, kPortCount>> in_route_;
 
-  std::size_t ticking_handle_ = 0;
   std::uint64_t next_message_id_ = 1;
   std::uint64_t inflight_ = 0;
   NetworkStats stats_;

@@ -8,9 +8,6 @@ Router::Router(std::uint32_t id, RouterConfig config)
     : id_(id), config_(config) {
   require(config.buffer_flits > 0, "router buffer depth must be non-zero");
   require(config.pipeline_cycles > 0, "router pipeline must be >= 1 cycle");
-  for (const std::uint32_t w : config.wrr_weights) {
-    require(w > 0, "router WRR weights must be positive");
-  }
   for (InputBuffer& buffer : inputs_) {
     buffer.slots.resize(config.buffer_flits);
   }
@@ -26,16 +23,10 @@ void Router::lock_output(PortDir out, PortDir owner_input) {
 std::optional<PortDir> Router::arbitrate(
     PortDir out, const std::array<bool, kPortCount>& candidates) {
   auto& state = outputs_[static_cast<std::size_t>(out)];
-  // Continue granting the same input while it has WRR credit.
-  if (state.credit > 0 && candidates[state.last_winner]) {
-    --state.credit;
-    return static_cast<PortDir>(state.last_winner);
-  }
   for (std::uint32_t offset = 1; offset <= kPortCount; ++offset) {
     const std::uint32_t idx = (state.last_winner + offset) % kPortCount;
     if (candidates[idx]) {
       state.last_winner = idx;
-      state.credit = config_.wrr_weights[idx] - 1;
       return static_cast<PortDir>(idx);
     }
   }

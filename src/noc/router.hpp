@@ -1,13 +1,14 @@
-// Input-buffered wormhole router with weighted-round-robin output
-// arbitration, modelled after the scalable QoS router of Heisswolf et al.
-// that the paper adapts (Table II: 309 LUTs / 353 registers, 150 MHz).
+// Input-buffered wormhole router with round-robin output arbitration,
+// modelled after the scalable QoS router of Heisswolf et al. that the paper
+// adapts (Table II: 309 LUTs / 353 registers, 150 MHz).
 //
 // Switching discipline:
 //  - 5 ports (N/E/S/W/Local), one flit per port per cycle in each direction;
 //  - wormhole: a HEAD flit that wins an output locks that output for its
 //    packet until the TAIL passes, so packets never interleave on a link;
-//  - arbitration: weighted round-robin over the input ports competing for
-//    a free output;
+//  - arbitration: round-robin over the input ports competing for a free
+//    output, which is the reference router's weighted round-robin at the
+//    unit weights every workload runs;
 //  - credit-style backpressure: a flit only advances when the downstream
 //    input buffer has a free slot;
 //  - per-hop pipeline latency of `pipeline_cycles` before a buffered flit
@@ -30,7 +31,6 @@ namespace hybridic::noc {
 struct RouterConfig {
   std::uint32_t buffer_flits = 8;     ///< Input FIFO depth per port.
   std::uint32_t pipeline_cycles = 2;  ///< Per-hop latency (route + traverse).
-  std::array<std::uint32_t, kPortCount> wrr_weights{1, 1, 1, 1, 1};
 };
 
 /// A flit with its in-buffer readiness timestamp and its routing decision,
@@ -106,8 +106,9 @@ public:
     outputs_[static_cast<std::size_t>(out)].locked = false;
   }
 
-  /// Weighted-round-robin winner among `candidates` (input ports bitmask
-  /// encoded as bool array) for output `out`. Updates WRR state.
+  /// Round-robin winner among `candidates` (input ports bitmask encoded as
+  /// bool array) for output `out`: the first candidate after the output's
+  /// previous winner. Updates that pointer.
   [[nodiscard]] std::optional<PortDir> arbitrate(
       PortDir out, const std::array<bool, kPortCount>& candidates);
 
@@ -125,8 +126,7 @@ private:
   struct OutputState {
     bool locked = false;
     PortDir owner = PortDir::kLocal;
-    std::uint32_t last_winner = kPortCount - 1;  ///< WRR pointer.
-    std::uint32_t credit = 0;
+    std::uint32_t last_winner = kPortCount - 1;  ///< Round-robin pointer.
   };
 
   /// Fixed-capacity ring FIFO sized to the configured buffer depth — the

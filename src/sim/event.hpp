@@ -120,7 +120,7 @@ struct Event {
 ///
 /// Hand-rolled over std::priority_queue so pop() can move the event out
 /// (priority_queue::top() is const and forces a copy) and so sequence
-/// numbers can be shared with the engine's per-domain tick wheels.
+/// numbers can be shared with the engine's pending tick.
 class EventQueue {
 public:
   /// Schedule `action` at absolute time `when`.
@@ -135,7 +135,7 @@ public:
   [[nodiscard]] Picoseconds next_time() const;
 
   /// Sequence number of the earliest pending event; queue must not be
-  /// empty. Used to interleave deterministically with tick-wheel entries.
+  /// empty. Used to interleave deterministically with the pending tick.
   [[nodiscard]] std::uint64_t next_sequence() const;
 
   /// Pop and return the earliest event (moved out, never copied); queue
@@ -146,7 +146,7 @@ public:
   void clear();
 
   /// Hand out the next global sequence number. The engine uses this for
-  /// tick-wheel entries so ticks and one-shots share one FIFO ordering.
+  /// its pending tick so ticks and one-shots share one FIFO ordering.
   std::uint64_t allocate_sequence() { return next_sequence_++; }
 
   [[nodiscard]] std::uint64_t total_scheduled() const {

@@ -7,8 +7,8 @@
 // campaign resumes from its last append and still reproduces the
 // byte-identical CSV an uninterrupted run would have written.
 //
-// The ledger follows the same damage discipline as the store's
-// index.log (docs/MODEL.md §15):
+// Like a damaged store entry (docs/MODEL.md §15), a damaged ledger line
+// reads as missing, never as wrong data:
 //
 //  - Each append is one write(2) on an O_APPEND descriptor: a crash —
 //    even SIGKILL — can tear at most the final line, never an earlier

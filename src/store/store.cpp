@@ -1,6 +1,5 @@
 #include "store/store.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -90,21 +89,6 @@ void Store::put(const std::string& key, const std::string& payload) {
                      "': " + ec.message()};
   }
   puts_.fetch_add(1, std::memory_order_relaxed);
-
-  // Index append: one write(2) on an O_APPEND descriptor, so lines from
-  // concurrent processes interleave whole, never torn mid-line (for the
-  // short lines we write). Best effort — the index is a convenience
-  // listing, not the source of truth.
-  const std::string line = name + " " + std::to_string(key.size()) + " " +
-                           key + "\n";
-  const std::string index_path = (fs::path{root_} / "index.log").string();
-  const int fd = ::open(index_path.c_str(),
-                        O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  if (fd >= 0) {
-    const ssize_t written [[maybe_unused]] =
-        ::write(fd, line.data(), line.size());
-    ::close(fd);
-  }
 }
 
 std::optional<std::string> Store::get(const std::string& key) const {
@@ -155,36 +139,6 @@ std::optional<std::string> Store::get(const std::string& key) const {
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
   return payload;
-}
-
-std::vector<std::pair<std::string, std::string>> Store::read_index() const {
-  std::vector<std::pair<std::string, std::string>> result;
-  std::ifstream in{(fs::path{root_} / "index.log").string(),
-                   std::ios::binary};
-  if (!in.is_open()) {
-    return result;
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    // "<32 hex> <keylen> <key>" — validate shape, skip damage.
-    const std::size_t sp1 = line.find(' ');
-    if (sp1 != 32) {
-      continue;
-    }
-    const std::size_t sp2 = line.find(' ', sp1 + 1);
-    if (sp2 == std::string::npos) {
-      continue;
-    }
-    std::uint64_t key_len = 0;
-    if (!util::parse_u64(line.substr(sp1 + 1, sp2 - sp1 - 1), key_len)) {
-      continue;
-    }
-    if (line.size() - sp2 - 1 != key_len) {
-      continue;  // Torn or concatenated line.
-    }
-    result.emplace_back(line.substr(0, 32), line.substr(sp2 + 1));
-  }
-  return result;
 }
 
 StoreStats Store::stats() const {

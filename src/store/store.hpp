@@ -20,9 +20,6 @@
 //  - Corruption tolerance: a truncated, tampered, or wrong-format entry
 //    fails its structural checks or payload checksum and reads as a miss.
 //    get() never throws for bad entries.
-//  - Shared index: puts append one line to index.log with a single
-//    O_APPEND write, which multiple processes may do concurrently; the
-//    reader skips malformed lines (e.g. a torn final line).
 #pragma once
 
 #include <atomic>
@@ -30,8 +27,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "util/hash.hpp"
 
@@ -62,14 +57,13 @@ public:
   /// Open (creating if needed) a store rooted at `root`. Layout:
   ///   root/objects/<2 hex>/<32 hex>   entries
   ///   root/tmp/                       in-flight writes
-  ///   root/index.log                  append-only key log
   explicit Store(std::string root);
 
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
 
-  /// Publish `payload` under `key` (atomic write + rename; appends to the
-  /// index). Throws StoreError when the filesystem rejects the write.
+  /// Publish `payload` under `key` (atomic write + rename). Throws
+  /// StoreError when the filesystem rejects the write.
   void put(const std::string& key, const std::string& payload);
 
   /// The payload stored under `key`, or nullopt on miss — where "miss"
@@ -84,12 +78,6 @@ public:
 
   /// Absolute path the entry for `key` lives at.
   [[nodiscard]] std::string object_path(const std::string& key) const;
-
-  /// All (object_name, key) pairs ever appended to the index, in append
-  /// order, skipping malformed lines. Multiple writers may have
-  /// interleaved appends; duplicates are possible and harmless.
-  [[nodiscard]] std::vector<std::pair<std::string, std::string>> read_index()
-      const;
 
   [[nodiscard]] StoreStats stats() const;
 

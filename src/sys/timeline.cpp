@@ -62,19 +62,6 @@ std::string render_timeline(const RunResult& result,
   return out.str();
 }
 
-std::string timeline_csv(const RunResult& result) {
-  std::ostringstream out;
-  out << "step,name,kind,start_s,done_s,compute_s,comm_s\n";
-  for (std::size_t i = 0; i < result.steps.size(); ++i) {
-    const StepTiming& step = result.steps[i];
-    out << i << ',' << step.name << ','
-        << (step.is_kernel ? "kernel" : "host") << ','
-        << step.start_seconds << ',' << step.done_seconds << ','
-        << step.compute_seconds << ',' << step.comm_seconds << '\n';
-  }
-  return out.str();
-}
-
 namespace {
 
 char event_glyph(engine::EventKind kind) {

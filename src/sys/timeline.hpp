@@ -1,5 +1,5 @@
 // Execution-timeline rendering: turns a RunResult's per-step timings and
-// its structured ExecTrace into ASCII Gantt charts and CSV traces, for
+// its structured ExecTrace into ASCII Gantt charts and a CSV trace, for
 // inspecting where a system variant spends its time (which communication
 // got hidden, which did not, and on which fabric).
 #pragma once
@@ -20,9 +20,6 @@ struct TimelineOptions {
 /// kernel-compute window and '.' for exposed communication.
 [[nodiscard]] std::string render_timeline(const RunResult& result,
                                           const TimelineOptions& options = {});
-
-/// CSV trace: step,name,kind,start_s,done_s,compute_s,comm_s.
-[[nodiscard]] std::string timeline_csv(const RunResult& result);
 
 /// Render the run's ExecTrace as one lane per fabric: every lane shows
 /// where its fabric was busy ('#' compute, '=' DMA, '>' NoC/crossbar

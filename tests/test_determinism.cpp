@@ -1,8 +1,8 @@
 // Determinism regression tests for the split event core: one-shot events
-// live in the EventQueue heap while periodic ticks live in per-clock-domain
-// tick wheels, but both draw sequence numbers from one shared counter, so
-// the merged execution order must remain exactly the documented
-// (time, scheduling-order) FIFO of the original single-queue engine.
+// live in the EventQueue heap while the clocked component's next tick lives
+// in one pending-tick slot, but both draw sequence numbers from one shared
+// counter, so the merged execution order must remain exactly the
+// documented (time, scheduling-order) FIFO of a single-queue engine.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -45,96 +45,27 @@ TEST(Determinism, SameTimestampEventsPopInSchedulingOrder) {
 }
 
 TEST(Determinism, TicksAndOneShotsInterleaveBySchedulingOrder) {
-  // A tick scheduled before a one-shot at the same edge time must fire
-  // first, and vice versa: the wheel/heap split shares one sequence
-  // counter, so scheduling order decides ties exactly as before.
+  // At the tick's edge, scheduling order decides ties: a one-shot scheduled
+  // before activate() runs before the tick, one scheduled after runs after
+  // it. A tick re-armed by its own tick takes a fresh sequence number, so
+  // it follows a one-shot already queued at its next edge.
   Engine engine;
   ClockDomain clock{"k", Frequency::megahertz(100)};  // edges at 10 ns
   std::vector<std::string> journal;
+  Journaled component{"tick", journal, 2};
+  engine.attach_ticking(component, clock);
 
-  Journaled early{"tick-first", journal, 1};
-  engine.activate(engine.add_ticking(early, clock));  // seq N at 10'000 ps
   engine.schedule_at(Picoseconds{10'000},
-                     [&journal] { journal.push_back("shot-after-tick"); });
-
+                     [&journal] { journal.push_back("shot-before"); });
+  engine.activate();  // The tick lands on the 10'000 ps edge.
+  engine.schedule_at(Picoseconds{10'000},
+                     [&journal] { journal.push_back("shot-after"); });
   engine.schedule_at(Picoseconds{20'000},
-                     [&journal] { journal.push_back("shot-before-tick"); });
-  Journaled late{"tick-second", journal, 1};
-  const std::size_t late_handle = engine.add_ticking(late, clock);
-  // activate() from inside an event at 10'001 ps lands the tick on the
-  // 20'000 ps edge with a later sequence than the one-shot above.
-  engine.schedule_at(Picoseconds{10'001}, [&engine, late_handle] {
-    engine.activate(late_handle);
-  });
+                     [&journal] { journal.push_back("shot-next-edge"); });
   engine.run();
-  ASSERT_EQ(journal.size(), 4U);
-  EXPECT_EQ(journal[0], "tick-first");
-  EXPECT_EQ(journal[1], "shot-after-tick");
-  EXPECT_EQ(journal[2], "shot-before-tick");
-  EXPECT_EQ(journal[3], "tick-second");
-}
-
-TEST(Determinism, CoincidingEdgesAcrossDomainsFollowActivationOrder) {
-  // 400 MHz and 100 MHz edges coincide every 10 ns. Components activated
-  // earlier must tick earlier at the shared instant.
-  Engine engine;
-  ClockDomain fast{"fast", Frequency::megahertz(400)};  // 2.5 ns
-  ClockDomain slow{"slow", Frequency::megahertz(100)};  // 10 ns
-  std::vector<std::string> journal;
-  Journaled a{"slow", journal, 1};
-  Journaled b{"fast", journal, 4};
-  engine.activate(engine.add_ticking(a, slow));
-  engine.activate(engine.add_ticking(b, fast));
-  engine.run();
-  // fast ticks at 2.5/5/7.5/10 ns; slow ticks at 10 ns. At the 10 ns
-  // coincidence the slow tick was scheduled first (activation order).
-  ASSERT_EQ(journal.size(), 5U);
-  EXPECT_EQ(journal[0], "fast");
-  EXPECT_EQ(journal[1], "fast");
-  EXPECT_EQ(journal[2], "fast");
-  EXPECT_EQ(journal[3], "slow");
-  EXPECT_EQ(journal[4], "fast");
-}
-
-TEST(Determinism, EqualPeriodDomainsShareOneWheel) {
-  Engine engine;
-  ClockDomain k1{"k1", Frequency::megahertz(100)};
-  ClockDomain k2{"k2", Frequency::megahertz(100)};
-  ClockDomain k3{"k3", Frequency::megahertz(150)};
-  std::vector<std::string> journal;
-  Journaled a{"a", journal, 1};
-  Journaled b{"b", journal, 1};
-  Journaled c{"c", journal, 1};
-  engine.activate(engine.add_ticking(a, k1));
-  engine.activate(engine.add_ticking(b, k2));
-  engine.activate(engine.add_ticking(c, k3));
-  EXPECT_EQ(engine.tick_wheel_count(), 2U);  // 100 MHz shared, 150 MHz own.
-  EXPECT_EQ(engine.pending_ticks(), 3U);
-  engine.run();
-  EXPECT_EQ(engine.pending_ticks(), 0U);
-}
-
-TEST(Determinism, ResetClearsWheelState) {
-  Engine engine;
-  ClockDomain clock{"k", Frequency::megahertz(100)};
-  std::vector<std::string> journal;
-  auto component = std::make_unique<Journaled>("x", journal, 100);
-  engine.activate(engine.add_ticking(*component, clock));
-  engine.schedule_at(Picoseconds{5}, [] {});
-  EXPECT_GT(engine.pending_ticks(), 0U);
-
-  engine.reset();
-  EXPECT_EQ(engine.pending_ticks(), 0U);
-  EXPECT_EQ(engine.tick_wheel_count(), 0U);
-  EXPECT_EQ(engine.now().count(), 0U);
-  EXPECT_EQ(engine.events_executed(), 0U);
-  component.reset();  // Engine must hold no dangling reference to it.
-  engine.run();       // Nothing pending: returns immediately at t=0.
-  EXPECT_EQ(engine.now().count(), 0U);
-  EXPECT_EQ(engine.events_executed(), 0U);
-
-  // A handle from before reset() is stale and must be rejected.
-  EXPECT_THROW(engine.activate(0), SimulationError);
+  EXPECT_EQ(journal,
+            (std::vector<std::string>{"shot-before", "tick", "shot-after",
+                                      "shot-next-edge", "tick"}));
 }
 
 TEST(Determinism, ScheduleAfterOverflowThrows) {

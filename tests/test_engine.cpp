@@ -91,8 +91,8 @@ TEST(Engine, TickingRunsOnClockEdges) {
   Engine engine;
   ClockDomain clock{"k", Frequency::megahertz(100)};  // 10 ns
   Counter counter{3};
-  const std::size_t handle = engine.add_ticking(counter, clock);
-  engine.activate(handle);
+  engine.attach_ticking(counter, clock);
+  engine.activate();
   engine.run();
   ASSERT_EQ(counter.ticks.size(), 3U);
   EXPECT_EQ(counter.ticks[0].count(), 10'000U);
@@ -104,12 +104,12 @@ TEST(Engine, SuspendedTickingCanBeReactivated) {
   Engine engine;
   ClockDomain clock{"k", Frequency::megahertz(100)};
   Counter counter{1};  // Suspends after one tick.
-  const std::size_t handle = engine.add_ticking(counter, clock);
-  engine.activate(handle);
+  engine.attach_ticking(counter, clock);
+  engine.activate();
   engine.run();
   EXPECT_EQ(counter.ticks.size(), 1U);
   counter = Counter{1};
-  engine.activate(handle);
+  engine.activate();
   engine.run();
   EXPECT_EQ(counter.ticks.size(), 1U);
   EXPECT_GT(counter.ticks[0].count(), 10'000U);
@@ -119,26 +119,42 @@ TEST(Engine, RedundantActivationIsSafe) {
   Engine engine;
   ClockDomain clock{"k", Frequency::megahertz(100)};
   Counter counter{2};
-  const std::size_t handle = engine.add_ticking(counter, clock);
-  engine.activate(handle);
-  engine.activate(handle);
-  engine.activate(handle);
+  engine.attach_ticking(counter, clock);
+  engine.activate();
+  engine.activate();
+  engine.activate();
   engine.run();
   EXPECT_EQ(counter.ticks.size(), 2U);  // No duplicate ticks.
 }
 
-TEST(Engine, InvalidTickingHandleThrows) {
+TEST(Engine, SecondAttachThrows) {
   Engine engine;
-  EXPECT_THROW(engine.activate(3), SimulationError);
+  ClockDomain clock{"k", Frequency::megahertz(100)};
+  Counter first{1};
+  Counter second{1};
+  engine.attach_ticking(first, clock);
+  EXPECT_THROW(engine.attach_ticking(second, clock), SimulationError);
 }
 
-TEST(Engine, ResetClearsState) {
+TEST(Engine, ActivateWithoutComponentThrows) {
   Engine engine;
-  engine.schedule_at(Picoseconds{10}, [] {});
-  engine.run();
-  engine.reset();
-  EXPECT_EQ(engine.now().count(), 0U);
-  EXPECT_EQ(engine.events_executed(), 0U);
+  EXPECT_THROW(engine.activate(), SimulationError);
+}
+
+TEST(Engine, PendingTickOutlivesRunLimit) {
+  // A watchdog that stops the run while only the tick is pending must see
+  // pending work; once the component suspends and the tick drains, none.
+  Engine engine;
+  ClockDomain clock{"k", Frequency::megahertz(100)};  // 10 ns
+  Counter counter{5};
+  engine.attach_ticking(counter, clock);
+  engine.activate();
+  EXPECT_FALSE(engine.run_until([] { return false; }, Picoseconds{25'000}));
+  EXPECT_EQ(counter.ticks.size(), 2U);
+  EXPECT_TRUE(engine.has_pending());
+  EXPECT_FALSE(engine.run_until([] { return false; }));
+  EXPECT_EQ(counter.ticks.size(), 5U);
+  EXPECT_FALSE(engine.has_pending());
 }
 
 TEST(ClockDomain, EdgeArithmetic) {
@@ -150,19 +166,6 @@ TEST(ClockDomain, EdgeArithmetic) {
   EXPECT_EQ(clock.next_edge_index(Picoseconds{10'000}), 1U);
   EXPECT_EQ(clock.align_up(Picoseconds{10'001}).count(), 20'000U);
   EXPECT_EQ(clock.span(Cycles{3}).count(), 30'000U);
-}
-
-TEST(Engine, MultiClockDomainsInterleaveDeterministically) {
-  Engine engine;
-  ClockDomain fast{"fast", Frequency::megahertz(400)};  // 2.5 ns
-  ClockDomain slow{"slow", Frequency::megahertz(100)};  // 10 ns
-  Counter a{8};
-  Counter b{2};
-  engine.activate(engine.add_ticking(a, fast));
-  engine.activate(engine.add_ticking(b, slow));
-  engine.run();
-  EXPECT_EQ(a.ticks.back().count(), 20'000U);
-  EXPECT_EQ(b.ticks.back().count(), 20'000U);
 }
 
 }  // namespace

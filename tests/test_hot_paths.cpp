@@ -176,11 +176,11 @@ TEST(HotPaths, EngineScheduleRunLoopDoesNotAllocateAfterWarmUp) {
   sim::Engine engine;
   const sim::ClockDomain clock{"fabric_clock", Frequency::megahertz(100)};
   Countdown component{100};
-  const std::size_t handle = engine.add_ticking(component, clock);
+  engine.attach_ticking(component, clock);
   std::uint64_t fired = 0;
   const auto round = [&] {
     component.rearm(100);
-    engine.activate(handle);
+    engine.activate();
     for (std::uint64_t i = 0; i < 1000; ++i) {
       engine.schedule_after(Picoseconds{i % 17 * 1000},
                             [&fired] { ++fired; });
@@ -189,7 +189,7 @@ TEST(HotPaths, EngineScheduleRunLoopDoesNotAllocateAfterWarmUp) {
     }
     engine.run();
   };
-  round();  // Warm-up: the event heap and tick wheel reach their capacity.
+  round();  // Warm-up: the event heap reaches its capacity.
 
   const std::uint64_t before = allocations();
   for (int r = 0; r < 5; ++r) {

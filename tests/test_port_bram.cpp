@@ -39,9 +39,6 @@ TEST(Port, StatisticsAccumulate) {
   (void)port.reserve(Picoseconds{0}, Bytes{8});
   EXPECT_EQ(port.bytes_transferred().count(), 24U);
   EXPECT_EQ(port.transfers(), 2U);
-  port.reset();
-  EXPECT_EQ(port.transfers(), 0U);
-  EXPECT_EQ(port.free_at().count(), 0U);
 }
 
 TEST(Port, ZeroWidthRejected) {
@@ -74,13 +71,6 @@ TEST(Bram, PerPortByteAccounting) {
 
 TEST(Bram, ZeroCapacityRejected) {
   EXPECT_THROW(Bram("b", kClock, Bytes{0}, 4), ConfigError);
-}
-
-TEST(Bram, ResetFreesPorts) {
-  Bram bram{"b", kClock, Bytes{64}, 4};
-  (void)bram.access(BramPort::kA, Picoseconds{0}, Bytes{64});
-  bram.reset();
-  EXPECT_EQ(bram.port_free_at(BramPort::kA).count(), 0U);
 }
 
 /// Property: total occupancy of one port is the sum of individual beat

@@ -16,7 +16,7 @@ Flit make_flit(FlitKind kind, std::uint64_t packet = 1) {
 }
 
 TEST(Router, AcceptsUpToBufferDepth) {
-  Router router{0, RouterConfig{2, 1, {1, 1, 1, 1, 1}}};
+  Router router{0, RouterConfig{2, 1}};
   EXPECT_TRUE(router.can_accept(PortDir::kNorth));
   router.accept(PortDir::kNorth, make_flit(FlitKind::kHead), Picoseconds{0});
   router.accept(PortDir::kNorth, make_flit(FlitKind::kTail), Picoseconds{0});
@@ -25,7 +25,7 @@ TEST(Router, AcceptsUpToBufferDepth) {
 }
 
 TEST(Router, OverflowingBufferAsserts) {
-  Router router{0, RouterConfig{1, 1, {1, 1, 1, 1, 1}}};
+  Router router{0, RouterConfig{1, 1}};
   router.accept(PortDir::kEast, make_flit(FlitKind::kHeadTail),
                 Picoseconds{0});
   EXPECT_THROW(router.accept(PortDir::kEast, make_flit(FlitKind::kHead),
@@ -34,7 +34,7 @@ TEST(Router, OverflowingBufferAsserts) {
 }
 
 TEST(Router, ReadyFrontHonorsPipelineDelay) {
-  Router router{0, RouterConfig{4, 2, {1, 1, 1, 1, 1}}};
+  Router router{0, RouterConfig{4, 2}};
   router.accept(PortDir::kWest, make_flit(FlitKind::kHead),
                 Picoseconds{100});
   EXPECT_EQ(router.ready_front(PortDir::kWest, Picoseconds{99}), nullptr);
@@ -42,7 +42,7 @@ TEST(Router, ReadyFrontHonorsPipelineDelay) {
 }
 
 TEST(Router, PopReturnsFifoOrder) {
-  Router router{0, RouterConfig{4, 1, {1, 1, 1, 1, 1}}};
+  Router router{0, RouterConfig{4, 1}};
   Flit a = make_flit(FlitKind::kHead);
   a.sequence = 0;
   Flit b = make_flit(FlitKind::kTail);
@@ -67,7 +67,7 @@ TEST(Router, OutputLockLifecycle) {
 }
 
 TEST(Router, ArbitrationRotates) {
-  Router router{0, RouterConfig{4, 1, {1, 1, 1, 1, 1}}};
+  Router router{0, RouterConfig{4, 1}};
   std::array<bool, kPortCount> candidates{};
   candidates[static_cast<std::size_t>(PortDir::kNorth)] = true;
   candidates[static_cast<std::size_t>(PortDir::kEast)] = true;
@@ -75,23 +75,23 @@ TEST(Router, ArbitrationRotates) {
   const auto second = router.arbitrate(PortDir::kLocal, candidates);
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
-  EXPECT_NE(*first, *second);  // Equal weights alternate.
+  EXPECT_NE(*first, *second);  // Two competitors alternate.
 }
 
-TEST(Router, ArbitrationWeightsGrantConsecutively) {
-  RouterConfig config;
-  config.wrr_weights = {3, 1, 1, 1, 1};  // North weighted 3x.
-  Router router{0, config};
+TEST(Router, ArbitrationRotatesOverAllFiveInputs) {
+  // Every input competes for one output: grants walk N, E, S, W, L from
+  // the initial pointer (just past Local) and wrap around.
+  Router router{0, RouterConfig{}};
   std::array<bool, kPortCount> candidates{};
-  candidates[static_cast<std::size_t>(PortDir::kNorth)] = true;
-  candidates[static_cast<std::size_t>(PortDir::kEast)] = true;
-  int north = 0;
-  for (int i = 0; i < 40; ++i) {
-    const auto winner = router.arbitrate(PortDir::kSouth, candidates);
+  candidates.fill(true);
+  const std::array<PortDir, kPortCount> order{PortDir::kNorth, PortDir::kEast,
+                                              PortDir::kSouth, PortDir::kWest,
+                                              PortDir::kLocal};
+  for (std::size_t grant = 0; grant < 2 * kPortCount; ++grant) {
+    const auto winner = router.arbitrate(PortDir::kEast, candidates);
     ASSERT_TRUE(winner.has_value());
-    north += *winner == PortDir::kNorth ? 1 : 0;
+    EXPECT_EQ(*winner, order[grant % kPortCount]) << "grant " << grant;
   }
-  EXPECT_EQ(north, 30);  // 3:1 share.
 }
 
 TEST(Router, ArbitrationWithNoCandidates) {
@@ -101,9 +101,8 @@ TEST(Router, ArbitrationWithNoCandidates) {
 }
 
 TEST(Router, InvalidConfigRejected) {
-  EXPECT_THROW(Router(0, RouterConfig{0, 1, {1, 1, 1, 1, 1}}), ConfigError);
-  EXPECT_THROW(Router(0, RouterConfig{4, 0, {1, 1, 1, 1, 1}}), ConfigError);
-  EXPECT_THROW(Router(0, RouterConfig{4, 1, {1, 0, 1, 1, 1}}), ConfigError);
+  EXPECT_THROW(Router(0, RouterConfig{0, 1}), ConfigError);
+  EXPECT_THROW(Router(0, RouterConfig{4, 0}), ConfigError);
 }
 
 TEST(FlitTest, KindPredicates) {

@@ -80,15 +80,6 @@ TEST(Timeline, BarsReflectDurations) {
   EXPECT_GT(kernel_marks, 3 * host_marks);
 }
 
-TEST(TimelineCsv, OneRowPerStepWithHeader) {
-  const std::string csv = timeline_csv(sample_run());
-  EXPECT_EQ(csv.find("step,name,kind"), 0U);
-  EXPECT_NE(csv.find("host_prep,host"), std::string::npos);
-  EXPECT_NE(csv.find("kernel_a,kernel"), std::string::npos);
-  // Two data rows + header = 3 newlines.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-}
-
 TEST(Timeline, WorksOnRealRun) {
   // Smoke test on a real baseline run.
   prof::CommGraph graph;
@@ -101,8 +92,6 @@ TEST(Timeline, WorksOnRealRun) {
   const RunResult run = run_baseline(schedule, PlatformConfig{});
   const std::string out = render_timeline(run);
   EXPECT_NE(out.find("k "), std::string::npos);
-  const std::string csv = timeline_csv(run);
-  EXPECT_NE(csv.find("k,kernel"), std::string::npos);
 }
 
 }  // namespace
