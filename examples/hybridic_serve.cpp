@@ -358,8 +358,7 @@ int main(int argc, char** argv) {
                        request](sys::JobContext&) -> ServeReply {
       return serve(request, evaluator, cache);
     };
-    sys::JobContext context{request.id, sys::job_seed(request.id),
-                            Rng{sys::job_seed(request.id)}, 0};
+    sys::JobContext context{request.id, sys::job_seed(request.id), 0};
     const sys::detail::AttemptOutcome<ServeReply> outcome =
         request.timeout_seconds > 0.0
             ? sys::detail::attempt_with_watchdog<ServeReply>(

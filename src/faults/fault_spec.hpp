@@ -25,10 +25,9 @@ struct ResilienceSpec {
   /// retransmission of corrupted ones.
   bool noc_crc = false;
   /// Retransmission budget per packet before it is delivered as-corrupted.
+  /// Attempt k waits 4 << (k-1) NoC cycles before the packet is
+  /// re-injected.
   std::uint32_t noc_max_retransmits = 8;
-  /// Exponential backoff base: attempt k waits base << (k-1) NoC cycles
-  /// before re-injecting the packet.
-  std::uint32_t noc_backoff_base_cycles = 4;
   /// Re-issued bus chunks per DMA transfer before a failed chunk is
   /// accepted as corrupted.
   std::uint32_t bus_retry_budget = 4;

@@ -27,10 +27,6 @@ Picoseconds Bram::access(BramPort port, Picoseconds earliest, Bytes bytes) {
   return ports_[static_cast<std::size_t>(port)].reserve(earliest, bytes);
 }
 
-Picoseconds Bram::port_free_at(BramPort port) const {
-  return ports_[static_cast<std::size_t>(port)].free_at();
-}
-
 Picoseconds Bram::transfer_time(Bytes bytes) const {
   return ports_[0].transfer_time(bytes);
 }

@@ -34,7 +34,6 @@ public:
   /// Reserve a transfer on the given port; returns completion time.
   Picoseconds access(BramPort port, Picoseconds earliest, Bytes bytes);
 
-  [[nodiscard]] Picoseconds port_free_at(BramPort port) const;
   [[nodiscard]] Picoseconds transfer_time(Bytes bytes) const;
 
   [[nodiscard]] const std::string& name() const { return name_; }

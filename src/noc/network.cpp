@@ -9,6 +9,14 @@
 
 namespace hybridic::noc {
 
+namespace {
+
+/// Retransmission backoff: attempt k waits kBackoffBaseCycles << (k-1) NoC
+/// cycles before the corrupted packet is re-injected.
+constexpr std::uint64_t kBackoffBaseCycles = 4;
+
+}  // namespace
+
 Network::Network(std::string name, sim::Engine& engine,
                  const sim::ClockDomain& clock, Mesh2D mesh,
                  NetworkConfig config)
@@ -141,8 +149,7 @@ bool Network::handle_corrupt_packet(std::uint32_t dest_node,
   ++attempts;
   ++faults_->stats().packets_retransmitted;
   const std::uint32_t shift = std::min(attempts - 1, 10u);
-  const Cycles backoff{static_cast<std::uint64_t>(res.noc_backoff_base_cycles)
-                       << shift};
+  const Cycles backoff{kBackoffBaseCycles << shift};
   faults_->record(
       faults::FaultKind::kRetransmit, engine_->now().seconds(),
       payload_flits * kFlitPayloadBytes,

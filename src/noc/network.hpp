@@ -93,10 +93,6 @@ public:
   [[nodiscard]] bool route_detoured(std::uint32_t src,
                                     std::uint32_t dst) const;
 
-  [[nodiscard]] const LinkState* link_state() const {
-    return link_state_.get();
-  }
-
 private:
   /// Neighbour-table entry for a port that leaves the mesh.
   static constexpr std::uint32_t kNoNeighbor = UINT32_MAX;

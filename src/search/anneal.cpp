@@ -15,6 +15,11 @@ namespace hybridic::search {
 
 namespace {
 
+/// Annealing schedule: T0 = kInitialTemperature * fitness(seed) and
+/// T(i) = T0 * kCooling^i.
+constexpr double kInitialTemperature = 0.1;
+constexpr double kCooling = 0.97;
+
 /// One fully priced candidate.
 struct Scored {
   core::DesignResult design;
@@ -149,7 +154,7 @@ RestartOutcome run_restart(const SearchProblem& problem,
     }
   }
 
-  const double t0 = options.initial_temperature * seed->fitness;
+  const double t0 = kInitialTemperature * seed->fitness;
   outcome.trace.push_back(outcome.fitness);
   for (std::uint32_t iter = 0; iter < options.iterations; ++iter) {
     Move move;
@@ -173,7 +178,7 @@ RestartOutcome run_restart(const SearchProblem& problem,
     }
     const double delta = candidate->fitness - current_fitness;
     const double temperature =
-        t0 * std::pow(options.cooling, static_cast<double>(iter));
+        t0 * std::pow(kCooling, static_cast<double>(iter));
     const bool accept =
         delta <= 0.0 ||
         (temperature > 0.0 && rng.chance(std::exp(-delta / temperature)));
@@ -234,10 +239,6 @@ SearchResult anneal_interconnect(const sys::AppSchedule& schedule,
                                  const sys::PlatformConfig& platform,
                                  const AnnealOptions& options) {
   require(options.restarts >= 1, "the annealer needs at least one restart");
-  require(options.cooling > 0.0 && options.cooling <= 1.0,
-          "cooling factor must be in (0, 1]");
-  require(options.lut_budget_factor >= 1.0,
-          "lut_budget_factor below 1 would reject the greedy seed itself");
 
   const SearchProblem problem = make_search_problem(input);
   const SearchVars seed_vars = vars_of_greedy(problem);
@@ -248,9 +249,10 @@ SearchResult anneal_interconnect(const sys::AppSchedule& schedule,
   result.algorithm1_estimate = tiers::analytic_estimate(
       schedule, result.algorithm1, platform, theta, options.calibration);
   result.algorithm1_luts = total_luts(result.algorithm1, input.kernels);
-  const auto lut_cap = static_cast<std::uint64_t>(
-      options.lut_budget_factor *
-      static_cast<double>(result.algorithm1_luts));
+  // Hard resource cap: candidates above Algorithm 1's total LUTs are
+  // rejected as illegal, so the searched design always dominates-or-matches
+  // greedy on the (time, LUTs) front.
+  const std::uint64_t lut_cap = result.algorithm1_luts;
 
   std::vector<RestartOutcome> outcomes;
   if (options.threads <= 1) {

@@ -44,16 +44,9 @@ struct AnnealOptions {
   /// seed; restart r starts after r random accepted kicks away from it.
   std::uint32_t restarts = 2;
   std::uint32_t iterations = 200;
-  /// Worker threads for the restart batch; 1 runs inline (no pool). The
-  /// result is bit-identical either way.
+  /// Worker threads for the restart batch; 1 runs the restarts inline on
+  /// the calling thread (no batch). The result is bit-identical either way.
   std::size_t threads = 1;
-  /// T0 as a fraction of the seed fitness; T(i) = T0 * cooling^i.
-  double initial_temperature = 0.1;
-  double cooling = 0.97;
-  /// Hard resource cap: candidates above lut_budget_factor * (Algorithm 1
-  /// total LUTs) are rejected as illegal, so the searched design always
-  /// dominates-or-matches greedy on the (time, LUTs) front.
-  double lut_budget_factor = 1.0;
   /// Cycle-accurately simulate the final incumbent and check it against
   /// its own analytic band (the end-of-run validation).
   bool cycle_validate = false;

@@ -32,8 +32,6 @@ Event EventQueue::pop() {
   return event;
 }
 
-void EventQueue::clear() { heap_.clear(); }
-
 void EventQueue::sift_up(std::size_t index) {
   while (index > 0) {
     const std::size_t parent = (index - 1) / 2;

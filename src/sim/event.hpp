@@ -129,8 +129,6 @@ public:
   /// True when no events remain.
   [[nodiscard]] bool empty() const { return heap_.empty(); }
 
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-
   /// Time of the earliest pending event; queue must not be empty.
   [[nodiscard]] Picoseconds next_time() const;
 
@@ -142,16 +140,9 @@ public:
   /// must not be empty.
   Event pop();
 
-  /// Drop all pending events.
-  void clear();
-
   /// Hand out the next global sequence number. The engine uses this for
   /// its pending tick so ticks and one-shots share one FIFO ordering.
   std::uint64_t allocate_sequence() { return next_sequence_++; }
-
-  [[nodiscard]] std::uint64_t total_scheduled() const {
-    return next_sequence_;
-  }
 
 private:
   static bool earlier(const Event& a, const Event& b) {

@@ -1,9 +1,8 @@
 #include "sys/batch_runner.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
 
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -25,7 +24,7 @@ JobStatus probe_supervised(const std::function<void()>& fn,
     fn();
     return 0;
   };
-  JobContext context{"probe", 0, Rng{0}, 0};
+  JobContext context{"probe", 0, 0};
   const detail::AttemptOutcome<int> outcome =
       timeout_seconds > 0.0
           ? detail::attempt_with_watchdog<int>(wrapped, std::move(context),
@@ -40,37 +39,32 @@ std::uint64_t job_seed(std::string_view key) {
   return util::mix64(util::fnv1a64(key));
 }
 
+BatchRunner::BatchRunner(std::size_t threads)
+    : threads_(threads != 0
+                   ? threads
+                   : std::max(1U, std::thread::hardware_concurrency())) {}
+
 void BatchRunner::run_erased(
     const std::vector<std::string>& keys,
-    const std::function<void(std::size_t, JobContext&)>& invoke) {
+    const std::function<void(std::size_t, const JobContext&)>& invoke) {
   using Clock = std::chrono::steady_clock;
 
   last_ = BatchReport{};
-  last_.thread_count = pool_.thread_count();
+  last_.thread_count = threads_;
   last_.jobs.resize(keys.size());
-  if (keys.empty()) {
-    return;
-  }
-
-  const std::uint64_t steals_before = pool_.steal_count();
   const auto batch_start = Clock::now();
 
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t remaining = keys.size();
-
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    pool_.submit([this, &keys, &invoke, &done_mutex, &done_cv, &remaining,
-                  i] {
+  std::atomic<std::size_t> next{0};
+  const auto work = [&](std::size_t worker) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < keys.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
       JobReport& report = last_.jobs[i];  // Slot is private to this job.
       report.key = keys[i];
-      report.seed = job_seed(keys[i]);
       report.index = i;
-      report.worker = ThreadPool::current_worker();
+      report.worker = worker;
       const auto start = Clock::now();
       try {
-        JobContext context{keys[i], report.seed, Rng{report.seed}, i};
-        invoke(i, context);
+        invoke(i, JobContext{keys[i], job_seed(keys[i]), i});
       } catch (const std::exception& e) {
         report.ok = false;
         report.error = e.what();
@@ -80,24 +74,26 @@ void BatchRunner::run_erased(
       }
       const std::chrono::duration<double> elapsed = Clock::now() - start;
       report.wall_seconds = elapsed.count();
-      {
-        std::unique_lock<std::mutex> lock{done_mutex};
-        --remaining;
-        // Notify under the lock: the waiter may destroy done_cv the moment
-        // it observes remaining == 0, so the signal must not outlive the
-        // critical section.
-        done_cv.notify_one();
-      }
-    });
+    }
+  };
+  const std::size_t worker_count = std::min(threads_, keys.size());
+  std::vector<std::thread> workers;
+  workers.reserve(worker_count);
+  for (std::size_t w = 0; w < worker_count; ++w) {
+    workers.emplace_back(work, w);
   }
-
-  std::unique_lock<std::mutex> lock{done_mutex};
-  done_cv.wait(lock, [&remaining] { return remaining == 0; });
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
 
   const std::chrono::duration<double> batch_elapsed =
       Clock::now() - batch_start;
   last_.wall_seconds = batch_elapsed.count();
-  last_.steals = pool_.steal_count() - steals_before;
+  for (const JobReport& job : last_.jobs) {
+    if (job.worker != job.index % threads_) {
+      ++last_.steals;
+    }
+  }
 }
 
 void BatchRunner::rethrow_first_failure() const {

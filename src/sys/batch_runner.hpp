@@ -1,13 +1,15 @@
-// Parallel experiment engine: fans independent, keyed jobs (one
-// AppExperiment, one sweep point, one synthetic shape) across a
-// work-stealing thread pool and aggregates results in submission order.
+// Parallel experiment engine: runs a batch of independent, keyed jobs (one
+// AppExperiment, one sweep point, one synthetic shape) on worker threads
+// started for that batch and returns the results in submission order.
+// The workers claim job indices from one shared cursor and are joined
+// before the batch returns; the calling thread only waits.
 //
 // Determinism contract — results are bit-identical regardless of thread
 // count and scheduling order because:
 //  * every job owns its state: executors build their own Platform (and
 //    therefore their own sim::Engine and stats), nothing is shared mutably;
-//  * every job gets its own RNG stream, seeded from a stable hash of the
-//    job key (never from time, thread id, or submission interleaving);
+//  * every job gets its own seed, a stable hash of the job key (never of
+//    time, thread id, or submission interleaving);
 //  * results land in a slot fixed by submission index, and callers iterate
 //    slots in order — reduction order never depends on completion order.
 //
@@ -16,13 +18,13 @@
 // usable for further batches. run() rethrows the first failure afterwards;
 // inspect last_report() for the full picture.
 //
-// Supervised batches (docs/MODEL.md §17) add a crash-safety layer on the
-// same pool: a per-job wall-clock watchdog (the attempt runs on its own
-// thread and is abandoned when the budget expires), bounded retry with
-// exponential backoff for failures a caller-supplied predicate classifies
-// as transient, and an admission gate that skips not-yet-started jobs
-// once a stop flag is raised. Supervised jobs never poison the batch:
-// every job ends in exactly one of ok / crashed / timeout / skipped.
+// Every batch is supervised (docs/MODEL.md §17), and run() is a supervised
+// batch with default options. Supervision can add a per-job wall-clock
+// watchdog (the attempt runs on its own thread and is abandoned when the
+// budget expires), bounded retry with exponential backoff for failures a
+// caller-supplied predicate classifies as transient, and an admission gate
+// that skips not-yet-started jobs once a stop flag is raised. Every job
+// ends in exactly one of ok / crashed / timeout / skipped.
 #pragma once
 
 #include <atomic>
@@ -37,9 +39,6 @@
 #include <string_view>
 #include <thread>
 #include <vector>
-
-#include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hybridic::sys {
 
@@ -64,7 +63,7 @@ enum class JobStatus : std::uint8_t {
 
 struct SuperviseOptions {
   /// Per-attempt wall-clock budget in seconds; 0 disables the watchdog
-  /// (attempts then run inline on the pool worker).
+  /// (attempts then run inline on the batch worker).
   double job_timeout_seconds = 0.0;
   /// Extra attempts granted when `is_transient` classifies a thrown
   /// failure as retryable (a flaky filesystem, not a logic bug).
@@ -92,31 +91,29 @@ struct SupervisedResult {
 struct JobContext {
   std::string key;        ///< The job's unique key.
   std::uint64_t seed;     ///< job_seed(key) — stable across runs/threads.
-  Rng rng;                ///< Seeded with `seed`; private to the job.
   std::size_t index = 0;  ///< Submission index (== result slot).
 };
 
 /// Per-job execution record (submission order in BatchReport::jobs).
 struct JobReport {
   std::string key;
-  std::uint64_t seed = 0;
   std::size_t index = 0;
-  std::size_t worker = 0;      ///< Pool worker that ran the job.
+  std::size_t worker = 0;      ///< Batch worker (0 .. thread_count-1).
   double wall_seconds = 0.0;
   bool ok = true;
   std::string error;           ///< Exception message when !ok.
-  /// Supervised batches only (run_supervised): terminal state and the
-  /// number of attempts started. Plain run() leaves the defaults
-  /// (kOk / 1).
+  /// Terminal state and the number of attempts started.
   JobStatus status = JobStatus::kOk;
   std::uint32_t attempts = 1;
 };
 
-/// Metrics for the last run() batch.
+/// Metrics for the last batch.
 struct BatchReport {
-  std::size_t thread_count = 0;
-  double wall_seconds = 0.0;     ///< Submission of first to completion of last.
-  std::uint64_t steals = 0;      ///< Pool steals during this batch.
+  std::size_t thread_count = 0;  ///< The runner's configured thread count.
+  double wall_seconds = 0.0;     ///< Start of the batch to its last join.
+  /// Jobs that ran on a worker other than index % thread_count (0 at one
+  /// thread).
+  std::uint64_t steals = 0;
   std::vector<JobReport> jobs;
 
   [[nodiscard]] double total_job_seconds() const {
@@ -237,38 +234,31 @@ public:
     std::function<R(JobContext&)> run;
   };
 
-  /// `threads` == 0 means hardware concurrency.
-  explicit BatchRunner(std::size_t threads = 0) : pool_(threads) {}
+  /// `threads` == 0 means hardware concurrency (at least 1).
+  explicit BatchRunner(std::size_t threads = 0);
 
   /// Run all jobs to completion; results in submission order. If any job
   /// threw, rethrows the first failure (by submission index) as
   /// ConfigError after the whole batch has drained.
   template <typename R>
   std::vector<R> run(std::vector<Job<R>> jobs) {
-    std::vector<std::optional<R>> slots(jobs.size());
-    std::vector<std::string> keys;
-    keys.reserve(jobs.size());
-    for (const Job<R>& job : jobs) {
-      keys.push_back(job.key);
-    }
-    run_erased(keys, [&jobs, &slots](std::size_t i, JobContext& context) {
-      slots[i].emplace(jobs[i].run(context));
-    });
+    std::vector<SupervisedResult<R>> slots =
+        run_supervised(std::move(jobs), SuperviseOptions{});
     rethrow_first_failure();
     std::vector<R> results;
     results.reserve(slots.size());
-    for (std::optional<R>& slot : slots) {
-      results.push_back(std::move(*slot));
+    for (SupervisedResult<R>& slot : slots) {
+      results.push_back(std::move(*slot.value));
     }
     return results;
   }
 
-  /// As run(), but each job runs under supervision: a per-attempt
+  /// Run all jobs to completion under supervision: a per-attempt
   /// wall-clock watchdog, bounded transient retry with exponential
-  /// backoff, and a stop-flag admission gate. Every slot reports exactly
-  /// one terminal status; nothing is rethrown. Results stay in submission
-  /// order and retries replay the job's own RNG stream from scratch, so
-  /// supervision never perturbs the determinism contract.
+  /// backoff, and a stop-flag admission gate, as `options` configure.
+  /// Every slot reports exactly one terminal status; nothing is rethrown.
+  /// Results stay in submission order and a retry replays the job's key
+  /// and seed, so supervision never perturbs the determinism contract.
   ///
   /// `on_settled`, when set, fires on the worker thread the moment a
   /// job's terminal status is known — before the batch drains — so a
@@ -281,42 +271,30 @@ public:
       const detail::non_deduced_t<
           std::function<void(std::size_t, const SupervisedResult<R>&)>>&
           on_settled = nullptr) {
-    // Jobs and slots live on the heap behind shared_ptrs: an abandoned
-    // watchdog thread may still hold a copy of a job function after this
-    // frame returns, and the erased lambda must stay copyable.
-    auto owned =
-        std::make_shared<std::vector<Job<R>>>(std::move(jobs));
-    auto slots = std::make_shared<std::vector<SupervisedResult<R>>>(
-        owned->size());
+    // An abandoned watchdog attempt holds copies of what it runs, so the
+    // jobs and slots need not outlive this frame.
+    std::vector<SupervisedResult<R>> slots(jobs.size());
     std::vector<std::string> keys;
-    keys.reserve(owned->size());
-    for (const Job<R>& job : *owned) {
+    keys.reserve(jobs.size());
+    for (const Job<R>& job : jobs) {
       keys.push_back(job.key);
     }
-    const SuperviseOptions* opts = &options;
-    const auto* settle = &on_settled;
-    run_erased(keys, [owned, slots, opts, settle](std::size_t i,
-                                                  JobContext& context) {
-      supervise_one<R>((*owned)[i], context, *opts, (*slots)[i]);
-      if (*settle) {
-        (*settle)(i, (*slots)[i]);
+    run_erased(keys, [&](std::size_t i, const JobContext& context) {
+      supervise_one<R>(jobs[i], context, options, slots[i]);
+      if (on_settled) {
+        on_settled(i, slots[i]);
       }
     });
-    for (std::size_t i = 0; i < slots->size(); ++i) {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
       JobReport& report = last_.jobs[i];
-      const SupervisedResult<R>& slot = (*slots)[i];
-      report.status = slot.status;
-      report.attempts = slot.attempts;
-      if (slot.status != JobStatus::kOk) {
+      report.status = slots[i].status;
+      report.attempts = slots[i].attempts;
+      if (slots[i].status != JobStatus::kOk) {
         report.ok = false;
-        report.error = slot.error;
+        report.error = slots[i].error;
       }
     }
-    return std::move(*slots);
-  }
-
-  [[nodiscard]] std::size_t thread_count() const {
-    return pool_.thread_count();
+    return slots;
   }
 
   /// Metrics of the most recent batch.
@@ -324,7 +302,7 @@ public:
 
 private:
   /// Supervision loop for one job: admission gate, backoff, bounded
-  /// retry. Runs on the pool worker that picked the job up; never throws.
+  /// retry. Runs on the batch worker that claimed the job; never throws.
   template <typename R>
   static void supervise_one(const Job<R>& job, const JobContext& context,
                             const SuperviseOptions& options,
@@ -343,10 +321,9 @@ private:
         backoff *= 2.0;
       }
       ++slot.attempts;
-      // Every attempt replays the identical inputs: same key, same seed,
-      // a fresh RNG stream — a retried job cannot observe its own retry.
-      JobContext fresh{context.key, context.seed, Rng{context.seed},
-                       context.index};
+      // Every attempt replays the identical inputs (same key, same seed),
+      // so a retried job cannot observe its own retry.
+      JobContext fresh = context;
       detail::AttemptOutcome<R> outcome =
           options.job_timeout_seconds > 0.0
               ? detail::attempt_with_watchdog<R>(
@@ -368,15 +345,17 @@ private:
     }
   }
 
-  /// Run one keyed invocation per index on the pool; fills last_.
+  /// Run one keyed invocation per index on min(threads, jobs) worker
+  /// threads that claim indices from one cursor; returns once every
+  /// worker is joined. Fills last_.
   void run_erased(
       const std::vector<std::string>& keys,
-      const std::function<void(std::size_t, JobContext&)>& invoke);
+      const std::function<void(std::size_t, const JobContext&)>& invoke);
 
   /// Throw ConfigError for the lowest-index failed job, if any.
   void rethrow_first_failure() const;
 
-  ThreadPool pool_;
+  std::size_t threads_;
   BatchReport last_;
 };
 

@@ -42,11 +42,6 @@ public:
   [[nodiscard]] std::size_t spec_of(prof::FunctionId function,
                                     const char* role) const;
 
-  /// Whether `function` has a kernel spec at all.
-  [[nodiscard]] bool has_spec(prof::FunctionId function) const {
-    return spec_of_.count(function) > 0;
-  }
-
   /// Design instances implementing `spec` (design runs only).
   [[nodiscard]] const std::vector<std::size_t>& instances_of_spec(
       std::size_t spec) const;

@@ -12,7 +12,6 @@
 #include <set>
 #include <utility>
 
-#include "core/board_partition.hpp"
 #include "core/design_result.hpp"
 #include "sys/engine/context.hpp"
 
@@ -73,32 +72,9 @@ public:
   [[nodiscard]] std::uint32_t noc_hops(prof::FunctionId producer,
                                        prof::FunctionId consumer) const;
 
-  // ---- Board granularity (multi-board runs). ----
-
-  /// Attach the level-one board partition. Single-board runs never call
-  /// this: every function then resolves to board 0 and no edge is
-  /// cross-board, so the pre-multi-board routing is bit-identical.
-  void set_board_partition(const core::BoardPartition* partition) {
-    partition_ = partition;
-  }
-
-  /// Owning board of `function` (kernels per the partition, host
-  /// functions and unpartitioned runs board 0).
-  [[nodiscard]] std::uint32_t board_of(prof::FunctionId function) const {
-    return partition_ == nullptr ? 0U : partition_->board_of(function);
-  }
-
-  /// Does this edge cross boards (and therefore ride the inter-board
-  /// serial links instead of any on-board fabric)?
-  [[nodiscard]] bool cross_board(prof::FunctionId producer,
-                                 prof::FunctionId consumer) const {
-    return board_of(producer) != board_of(consumer);
-  }
-
 private:
   ExecContext* ctx_;
   const core::DesignResult* design_;
-  const core::BoardPartition* partition_ = nullptr;
   std::map<std::pair<prof::FunctionId, prof::FunctionId>,
            const core::SharedMemoryPairing*>
       shared_by_fn_;

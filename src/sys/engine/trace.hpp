@@ -84,10 +84,6 @@ public:
   [[nodiscard]] const FabricUsage& usage(Fabric fabric) const {
     return usage_[static_cast<std::size_t>(fabric)];
   }
-  [[nodiscard]] const std::array<FabricUsage, kFabricCount>& usage_by_fabric()
-      const {
-    return usage_;
-  }
 
   /// Event indices sorted by (start, end, label) — a stable chronology for
   /// rendering and export.

@@ -94,7 +94,6 @@ MultiBoardRunResult run_designed_multi(const AppSchedule& schedule,
         subs[b], config.board(b), &design.boards.at(b));
     routers[b] = std::make_unique<engine::EdgeRouter>(*ctxs[b],
                                                       &design.boards.at(b));
-    routers[b]->set_board_partition(&design.partition);
     models[b] = std::make_unique<engine::DesignedModel>(*ctxs[b], *routers[b],
                                                         &trace);
   }

@@ -13,22 +13,6 @@
 
 namespace hybridic::tiers {
 
-HopAccount& HopAccount::operator+=(const HopAccount& other) {
-  for (const auto& [link, bytes] : other.link_bytes_) {
-    link_bytes_[link] += bytes;
-  }
-  total_ += other.total_;
-  return *this;
-}
-
-HopAccount& HopAccount::operator*=(std::uint64_t batch) {
-  for (auto& [link, bytes] : link_bytes_) {
-    bytes *= batch;
-  }
-  total_ *= batch;
-  return *this;
-}
-
 void HopAccount::add_route(const noc::Mesh2D& mesh, std::uint32_t src,
                            std::uint32_t dst, std::uint64_t bytes) {
   // Step with the flit-level router's own routing decision, so link loads

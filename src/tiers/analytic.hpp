@@ -24,18 +24,12 @@
 
 namespace hybridic::tiers {
 
-/// Composable per-link traffic accumulator (the HopCount idiom): bytes
-/// crossing each directed mesh link, built by XY route walks. Accounts
-/// compose with += (merge two traffic patterns) and scale with *= (batch
-/// N identical frames), so callers can price a multi-frame schedule
-/// without re-walking any route.
+/// Per-link traffic accumulator (the HopCount idiom): bytes crossing each
+/// directed mesh link, built by XY route walks.
 class HopAccount {
 public:
   /// Directed link leaving `node` towards `dir`: node * 4 + PortDir.
   using LinkId = std::uint64_t;
-
-  HopAccount& operator+=(const HopAccount& other);
-  HopAccount& operator*=(std::uint64_t batch);
 
   /// Walk the XY route src -> dst on `mesh`, adding `bytes` to every link
   /// crossed. A self-route (src == dst) crosses no links.
@@ -49,7 +43,6 @@ public:
   [[nodiscard]] std::uint64_t total_hop_bytes() const { return total_; }
   /// Bytes on the single busiest link (the serialization floor).
   [[nodiscard]] std::uint64_t max_link_bytes() const;
-  [[nodiscard]] std::size_t links_used() const { return link_bytes_.size(); }
 
   /// Per-thread scratch account, cleared on every acquire. Lets hot loops
   /// (the DSE campaign runs one analytic eval per BatchRunner job) reuse

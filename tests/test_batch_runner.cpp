@@ -5,9 +5,9 @@
 //      the serialized design).
 //  (b) A profile-cache hit returns the same CommGraph as the cold run and
 //      performs zero shadow-memory scans.
-//  (c) An exception in one job doesn't poison the pool: every other job
+//  (c) An exception in one job doesn't poison the batch: every other job
 //      completes and the runner stays usable.
-// Plus thread-pool and seeding basics.
+// Plus batch-worker and seeding basics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,7 +26,6 @@
 #include "sys/batch_runner.hpp"
 #include "sys/experiment.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hybridic {
 namespace {
@@ -171,7 +170,14 @@ TEST(BatchRunner, ExceptionInOneJobDoesNotPoisonPool) {
                     }});
   }
   // run() surfaces the failure as an exception — after the batch drained.
-  EXPECT_THROW((void)runner.run(std::move(jobs)), ConfigError);
+  try {
+    (void)runner.run(std::move(jobs));
+    ADD_FAILURE() << "run() did not rethrow the failed job";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string{e.what()}.find("'job/3' failed: job three exploded"),
+              std::string::npos)
+        << e.what();
+  }
 
   // Every other job ran to completion.
   EXPECT_EQ(completed.load(), 7);
@@ -181,8 +187,13 @@ TEST(BatchRunner, ExceptionInOneJobDoesNotPoisonPool) {
   EXPECT_FALSE(report.jobs[3].ok);
   EXPECT_NE(report.jobs[3].error.find("job three exploded"),
             std::string::npos);
+  // run() is a supervised batch with default options: one attempt, and
+  // the thrown job settles as crashed.
+  EXPECT_EQ(report.jobs[3].status, sys::JobStatus::kCrashed);
+  EXPECT_EQ(report.jobs[3].attempts, 1U);
+  EXPECT_EQ(report.jobs[2].status, sys::JobStatus::kOk);
 
-  // The pool is still fully usable afterwards.
+  // The runner is still fully usable afterwards.
   std::vector<sys::BatchRunner::Job<int>> follow_up;
   for (int i = 0; i < 4; ++i) {
     follow_up.push_back({"ok/" + std::to_string(i),
@@ -194,8 +205,7 @@ TEST(BatchRunner, ExceptionInOneJobDoesNotPoisonPool) {
 }
 
 TEST(BatchRunner, JobSeedsAreStableAndPerKey) {
-  // Seeds depend only on the key: stable across runs, distinct across keys,
-  // and the context Rng starts from exactly that seed.
+  // Seeds depend only on the key: stable across runs, distinct across keys.
   EXPECT_EQ(sys::job_seed("experiment/jpeg"), sys::job_seed("experiment/jpeg"));
   EXPECT_NE(sys::job_seed("experiment/jpeg"), sys::job_seed("experiment/klt"));
 
@@ -203,11 +213,7 @@ TEST(BatchRunner, JobSeedsAreStableAndPerKey) {
   std::vector<sys::BatchRunner::Job<std::uint64_t>> jobs;
   for (int i = 0; i < 6; ++i) {
     jobs.push_back({"seeded/" + std::to_string(i),
-                    [](sys::JobContext& context) {
-                      Rng reference{context.seed};
-                      EXPECT_EQ(context.rng.next(), reference.next());
-                      return context.seed;
-                    }});
+                    [](sys::JobContext& context) { return context.seed; }});
   }
   const auto seeds = runner.run(std::move(jobs));
   const std::set<std::uint64_t> unique(seeds.begin(), seeds.end());
@@ -217,20 +223,58 @@ TEST(BatchRunner, JobSeedsAreStableAndPerKey) {
   }
 }
 
-TEST(ThreadPool, ExecutesEverythingAndCountsSteals) {
-  ThreadPool pool{4};
-  EXPECT_EQ(pool.thread_count(), 4U);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
+TEST(BatchRunner, EveryJobRunsOnceInItsSlotAtAnyBatchSize) {
+  // One runner reused across batches: each batch starts its own workers
+  // and joins them before returning, so an empty batch, one job, fewer
+  // jobs than threads and many more all run every job exactly once, in
+  // its own slot, on a worker thread rather than the caller.
+  sys::BatchRunner runner{4};
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t count : {0U, 1U, 3U, 64U}) {
+    SCOPED_TRACE(count);
+    std::vector<std::atomic<int>> runs(count);
+    std::vector<sys::BatchRunner::Job<std::size_t>> jobs;
+    for (std::size_t i = 0; i < count; ++i) {
+      jobs.push_back({"slot/" + std::to_string(i),
+                      [&runs, caller, i](sys::JobContext& context) {
+                        runs[i].fetch_add(1);
+                        EXPECT_NE(std::this_thread::get_id(), caller);
+                        EXPECT_EQ(context.index, i);
+                        return i;
+                      }});
+    }
+    const std::vector<std::size_t> values = runner.run(std::move(jobs));
+    const sys::BatchReport& report = runner.last_report();
+    EXPECT_EQ(report.thread_count, 4U);
+    ASSERT_EQ(values.size(), count);
+    ASSERT_EQ(report.jobs.size(), count);
+    std::uint64_t steals = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(runs[i].load(), 1);
+      EXPECT_EQ(values[i], i);
+      EXPECT_EQ(report.jobs[i].index, i);
+      EXPECT_LT(report.jobs[i].worker, 4U);
+      if (report.jobs[i].worker != i % 4) {
+        ++steals;
+      }
+    }
+    EXPECT_EQ(report.steals, steals);
   }
-  while (pool.executed_count() < 64) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  // At one thread every job runs on worker 0, which is its own slot's
+  // worker: nothing counts as stolen.
+  sys::BatchRunner serial{1};
+  std::vector<sys::BatchRunner::Job<int>> jobs;
+  for (int i = 0; i < 8; ++i) {
+    jobs.push_back({"serial/" + std::to_string(i),
+                    [i](sys::JobContext&) { return i; }});
   }
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_EQ(pool.executed_count(), 64U);
-  // Workers report their identity inside tasks, not outside.
-  EXPECT_EQ(ThreadPool::current_worker(), ThreadPool::kNotAWorker);
+  (void)serial.run(std::move(jobs));
+  EXPECT_EQ(serial.last_report().thread_count, 1U);
+  EXPECT_EQ(serial.last_report().steals, 0U);
+  for (const sys::JobReport& job : serial.last_report().jobs) {
+    EXPECT_EQ(job.worker, 0U);
+  }
 }
 
 TEST(BatchRunner, ReportCarriesPerJobMetrics) {

@@ -12,7 +12,6 @@ namespace {
 TEST(EventQueue, EmptyInitially) {
   EventQueue queue;
   EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.size(), 0U);
 }
 
 TEST(EventQueue, PopOrderedByTime) {
@@ -52,22 +51,6 @@ TEST(EventQueue, NextTimeOnEmptyThrows) {
   EventQueue queue;
   EXPECT_THROW((void)queue.next_time(), SimulationError);
   EXPECT_THROW((void)queue.pop(), SimulationError);
-}
-
-TEST(EventQueue, ClearDropsEverything) {
-  EventQueue queue;
-  queue.schedule(Picoseconds{1}, [] {});
-  queue.schedule(Picoseconds{2}, [] {});
-  queue.clear();
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(EventQueue, TotalScheduledCounts) {
-  EventQueue queue;
-  queue.schedule(Picoseconds{1}, [] {});
-  queue.schedule(Picoseconds{2}, [] {});
-  (void)queue.pop();
-  EXPECT_EQ(queue.total_scheduled(), 2U);
 }
 
 TEST(EventQueue, InterleavedScheduleAndPop) {
