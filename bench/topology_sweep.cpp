@@ -69,14 +69,15 @@ SweepRow run_point(apps::ProfileCache& cache, const std::string& app_name,
   input.board_count = boards;
   const core::MultiBoardDesign design = core::design_multi_board(input);
 
-  sys::MultiBoardConfig config = sys::MultiBoardConfig::uniform(
-      boards, sys::PlatformConfig{}, topology);
+  sys::MultiBoardConfig config;
+  config.board_count = boards;
+  config.topology = topology;
   if (linkdown) {
     // The one deterministic failure: sever board 0 <-> board 1. On a ring
     // or mesh the network stays connected and cut traffic detours around
     // the gap (counted as reroutes); on a chain it would disconnect, so
     // chain points never run this scenario.
-    config.boards[0].faults.dead_board_links.push_back({0, 1});
+    config.dead_board_links.push_back({0, 1});
   }
   const sys::MultiBoardRunResult run =
       sys::run_designed_multi(schedule, design, config);

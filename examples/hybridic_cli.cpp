@@ -294,10 +294,11 @@ MultiBoardPlan plan_multi_board(const CliOptions& cli,
   core::MultiBoardDesignInput minput;
   minput.base = input;
   minput.board_count = cli.boards;
-  return {core::design_multi_board(minput),
-          sys::MultiBoardConfig::uniform(
-              cli.boards, platform,
-              core::parse_board_topology(cli.board_topology))};
+  MultiBoardPlan plan{core::design_multi_board(minput), {}};
+  plan.config.board = platform;
+  plan.config.board_count = cli.boards;
+  plan.config.topology = core::parse_board_topology(cli.board_topology);
+  return plan;
 }
 
 int run_cli(const CliOptions& cli) {

@@ -19,29 +19,40 @@ Bus::Bus(std::string name, sim::Engine& engine, const sim::ClockDomain& clock,
   require(config.master_count > 0, "bus needs at least one master");
 }
 
-std::uint64_t Bus::data_beats(Bytes bytes) const {
-  return (bytes.count() + config_.width_bytes - 1) / config_.width_bytes;
+namespace {
+
+std::uint64_t data_beats(const BusConfig& config, Bytes bytes) {
+  return (bytes.count() + config.width_bytes - 1) / config.width_bytes;
 }
 
-std::uint64_t Bus::burst_count(Bytes bytes) const {
-  const std::uint64_t beats = data_beats(bytes);
+std::uint64_t burst_count(const BusConfig& config, Bytes bytes) {
+  const std::uint64_t beats = data_beats(config, bytes);
   if (beats == 0) {
     return 1;  // A zero-byte transaction still runs an address phase.
   }
-  return (beats + config_.max_burst_beats - 1) / config_.max_burst_beats;
+  return (beats + config.max_burst_beats - 1) / config.max_burst_beats;
+}
+
+}  // namespace
+
+Picoseconds uncontended_time(const BusConfig& config, Picoseconds period,
+                             Bytes bytes) {
+  const std::uint64_t cycles =
+      config.arbitration_cycles.count() +
+      burst_count(config, bytes) * config.address_cycles.count() +
+      data_beats(config, bytes);
+  return Picoseconds{cycles * period.count()};
+}
+
+double theta_seconds_per_byte(const BusConfig& config, Picoseconds period,
+                              Bytes bytes) {
+  require(bytes.count() > 0, "theta needs a non-zero reference size");
+  return uncontended_time(config, period, bytes).seconds() /
+         static_cast<double>(bytes.count());
 }
 
 Picoseconds Bus::uncontended_time(Bytes bytes) const {
-  const std::uint64_t cycles =
-      config_.arbitration_cycles.count() +
-      burst_count(bytes) * config_.address_cycles.count() + data_beats(bytes);
-  return clock_->span(Cycles{cycles});
-}
-
-double Bus::theta_seconds_per_byte(Bytes bytes) const {
-  require(bytes.count() > 0, "theta needs a non-zero reference size");
-  return uncontended_time(bytes).seconds() /
-         static_cast<double>(bytes.count());
+  return bus::uncontended_time(config_, clock_->period(), bytes);
 }
 
 void Bus::submit(BusRequest request) {

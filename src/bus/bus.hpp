@@ -35,6 +35,17 @@ struct BusConfig {
   std::uint32_t master_count = 2;
 };
 
+/// Duration of an uncontended transfer of `bytes` on a bus with `config`
+/// and clock `period` (arb + per-burst address phases + data beats),
+/// excluding slave latency.
+[[nodiscard]] Picoseconds uncontended_time(const BusConfig& config,
+                                           Picoseconds period, Bytes bytes);
+
+/// Average seconds/byte on an idle bus for a transfer of `bytes` — the
+/// paper's θ for a representative transfer size.
+[[nodiscard]] double theta_seconds_per_byte(const BusConfig& config,
+                                            Picoseconds period, Bytes bytes);
+
 /// A queued bus transfer request.
 struct BusRequest {
   std::uint32_t master = 0;
@@ -53,13 +64,8 @@ public:
   /// last beat. Requests from the same master stay FIFO.
   void submit(BusRequest request);
 
-  /// Duration of an uncontended transfer of `bytes` (arb + per-burst
-  /// address phases + data beats), excluding slave latency.
+  /// bus::uncontended_time on this bus's config and clock.
   [[nodiscard]] Picoseconds uncontended_time(Bytes bytes) const;
-
-  /// Average seconds/byte on an idle bus for a transfer of `bytes` —
-  /// the paper's θ for a representative transfer size.
-  [[nodiscard]] double theta_seconds_per_byte(Bytes bytes) const;
 
   [[nodiscard]] Bytes bytes_transferred() const { return bytes_transferred_; }
   [[nodiscard]] std::uint64_t transactions() const { return transactions_; }
@@ -72,8 +78,6 @@ public:
 
 private:
   void try_grant();
-  [[nodiscard]] std::uint64_t data_beats(Bytes bytes) const;
-  [[nodiscard]] std::uint64_t burst_count(Bytes bytes) const;
 
   std::string name_;
   sim::Engine* engine_;

@@ -8,6 +8,17 @@
 
 namespace hybridic::core {
 
+namespace {
+
+/// Seeds the greedy placement's tie-breaks; the partition is a pure
+/// function of (graph, kernels, board_count).
+constexpr std::uint64_t kPartitionSeed = 1;
+/// Cap on full FM refinement passes (each pass applies at most one
+/// positive-gain move per kernel).
+constexpr std::uint32_t kMaxRefinementPasses = 8;
+
+}  // namespace
+
 const char* to_string(BoardTopology topology) {
   switch (topology) {
     case BoardTopology::kChain:
@@ -96,9 +107,8 @@ BoardPartition partition_boards(const BoardPartitionInput& input) {
   if (boards > 1 && n > 0) {
     // ---- Greedy seeding: place kernels in traffic-descending order on
     // the board maximizing already-placed affinity (cut-minimizing),
-    // under the balance cap. Ties break by a seeded hash, then by board
-    // id, so distinct seeds explore distinct initial placements while
-    // every run of one seed is identical.
+    // under the balance cap. Ties break by a seeded hash, then by kernel
+    // index, so every run is identical.
     std::vector<std::size_t> order(n);
     for (std::size_t k = 0; k < n; ++k) {
       order[k] = k;
@@ -108,8 +118,8 @@ BoardPartition partition_boards(const BoardPartitionInput& input) {
                 if (traffic[a] != traffic[b]) {
                   return traffic[a] > traffic[b];
                 }
-                const std::uint64_t ha = util::splitmix64(input.seed ^ a);
-                const std::uint64_t hb = util::splitmix64(input.seed ^ b);
+                const std::uint64_t ha = util::splitmix64(kPartitionSeed ^ a);
+                const std::uint64_t hb = util::splitmix64(kPartitionSeed ^ b);
                 if (ha != hb) {
                   return ha < hb;
                 }
@@ -145,7 +155,7 @@ BoardPartition partition_boards(const BoardPartitionInput& input) {
     // kernel k to board b) that respects the balance cap. Scanning in
     // (kernel, board) order with strict improvement keeps it
     // deterministic; passes are capped so it always terminates.
-    for (std::uint32_t pass = 0; pass < input.max_refinement_passes; ++pass) {
+    for (std::uint32_t pass = 0; pass < kMaxRefinementPasses; ++pass) {
       bool moved = false;
       for (std::size_t k = 0; k < n; ++k) {
         // External affinity of k towards each board.

@@ -5,7 +5,7 @@
 // which board each kernel lives on: inter-board serial links are orders of
 // magnitude slower than any on-board fabric, so the partition minimizes
 // the profiled bytes crossing boards (min-cut on the QUAD multigraph)
-// under a balance cap, with a deterministic seeded KL/FM-style refinement.
+// under a balance cap, with a deterministic KL/FM-style refinement.
 // Host functions always live on board 0 (the host CPU's board).
 #pragma once
 
@@ -38,12 +38,6 @@ struct BoardPartitionInput {
   const prof::CommGraph* graph = nullptr;
   std::vector<KernelSpec> kernels;  ///< L_hw, as handed to Algorithm 1.
   std::uint32_t board_count = 1;
-  /// Seeds the greedy placement order and every tie-break; the partition
-  /// is a pure function of (graph, kernels, board_count, seed).
-  std::uint64_t seed = 1;
-  /// Cap on full FM refinement passes (each pass applies at most one
-  /// positive-gain move per kernel).
-  std::uint32_t max_refinement_passes = 8;
 };
 
 /// The level-one decision: which board owns each kernel, plus the byte

@@ -41,7 +41,6 @@ MultiBoardDesign design_multi_board(const MultiBoardDesignInput& input) {
   part.graph = input.base.graph;
   part.kernels = input.base.kernels;
   part.board_count = input.board_count;
-  part.seed = input.partition_seed;
   design.partition = partition_boards(part);
 
   if (input.board_count == 1) {

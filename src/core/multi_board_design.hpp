@@ -36,7 +36,6 @@ struct InterBoardEdge {
 struct MultiBoardDesignInput {
   DesignInput base;
   std::uint32_t board_count = 1;
-  std::uint64_t partition_seed = 1;
 };
 
 /// The two-level design: the partition, one per-board DesignResult (from

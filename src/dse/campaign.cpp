@@ -537,7 +537,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
     owned.push_back(index);
   }
 
-  // One evaluator for the whole campaign: one theta probe, one congruence
+  // One evaluator for the whole campaign: one theta, one congruence
   // cache. estimate() is thread-safe and pure, so sharing it across jobs
   // never breaks the determinism contract. The profile cache memoizes
   // QUAD runs across design points; with a store attached both caches

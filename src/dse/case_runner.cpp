@@ -37,9 +37,10 @@ DesignCase run_design_case(const apps::SyntheticConfig& config,
     input.board_count = config.board_count;
     auto design = std::make_shared<core::MultiBoardDesign>(
         core::design_multi_board(input));
-    const sys::MultiBoardConfig mbc = sys::MultiBoardConfig::uniform(
-        config.board_count, platform,
-        core::parse_board_topology(config.board_topology));
+    sys::MultiBoardConfig mbc;
+    mbc.board = platform;
+    mbc.board_count = config.board_count;
+    mbc.topology = core::parse_board_topology(config.board_topology);
     c.multi_run = std::make_shared<const sys::MultiBoardRunResult>(
         sys::run_designed_multi(c.schedule, *design, mbc));
     c.multi_design = std::move(design);

@@ -10,9 +10,9 @@
 
 namespace hybridic::faults {
 
-/// A permanently failed bidirectional mesh link, named by the two adjacent
-/// node ids it connects (direction-free so the spec does not depend on the
-/// NoC port enumeration).
+/// A permanently failed bidirectional link, named by the two adjacent node
+/// (or, between boards, board) ids it connects — direction-free so the
+/// spec does not depend on the NoC port enumeration.
 struct LinkDown {
   std::uint32_t a = 0;
   std::uint32_t b = 0;
@@ -56,12 +56,6 @@ struct FaultSpec {
   double sdram_bitflip_rate = 0.0;
   /// Probability that a BRAM access suffers a bit flip.
   double bram_bitflip_rate = 0.0;
-  /// Permanently failed inter-board serial links, named by the two board
-  /// ids they connect (multi-board runs only; single-board platforms
-  /// ignore them, so they do not force a FaultInjector into existence).
-  /// On ring/mesh board topologies traffic reroutes around a dead link;
-  /// a disconnected topology (any dead chain link) is a ConfigError.
-  std::vector<LinkDown> dead_board_links;
   ResilienceSpec resilience;
 
   /// Every fault class at one per-event `rate`, with CRC retransmission

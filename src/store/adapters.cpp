@@ -70,24 +70,6 @@ std::string estimate_scope(const sys::PlatformConfig& platform,
   return util::hex16(fnv1a64(text.str()));
 }
 
-std::string estimate_scope(const sys::MultiBoardConfig& config,
-                           const tiers::TierCalibration& calibration) {
-  // Chain the per-board scopes, then append the inter-board dimensions.
-  // The "mb;" prefix keeps even a 1-board multi scope distinct from the
-  // single-board scope of the same platform.
-  std::ostringstream text;
-  text << "mb;boards=" << config.board_count()
-       << ";topo=" << core::to_string(config.topology)
-       << ";lat=" << util::hexf(config.link.latency_seconds)
-       << ";bw=" << util::hexf(config.link.bandwidth_bytes_per_second)
-       << ";pseed=" << config.partition_seed
-       << ";iband=" << util::hexf(calibration.inter_board_band);
-  for (const sys::PlatformConfig& board : config.boards) {
-    text << ";b=" << estimate_scope(board, calibration);
-  }
-  return util::hex16(fnv1a64(text.str()));
-}
-
 EstimateStoreL2::EstimateStoreL2(std::shared_ptr<Store> backing,
                                  std::string scope)
     : backing_(std::move(backing)), scope_(std::move(scope)) {}

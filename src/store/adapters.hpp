@@ -54,15 +54,6 @@ private:
     const sys::PlatformConfig& platform,
     const tiers::TierCalibration& calibration);
 
-/// Multi-board scope: folds every per-board platform fingerprint plus the
-/// board count, inter-board topology, link parameters, partition seed and
-/// inter-board band. A 1-board config intentionally does NOT collapse to
-/// the single-board scope string — multi-board estimates carry the
-/// inter-board fields and must never alias single-board entries.
-[[nodiscard]] std::string estimate_scope(
-    const sys::MultiBoardConfig& config,
-    const tiers::TierCalibration& calibration);
-
 class EstimateStoreL2 final : public tiers::EstimateL2 {
 public:
   EstimateStoreL2(std::shared_ptr<Store> backing, std::string scope);

@@ -41,9 +41,4 @@ const std::vector<std::size_t>& ExecContext::instances_of_spec(
   return instances_of_spec_.at(spec);
 }
 
-double measured_theta(const PlatformConfig& config) {
-  Platform probe(config, 1, nullptr);
-  return probe.measured_theta();
-}
-
 }  // namespace hybridic::sys::engine

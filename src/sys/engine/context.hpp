@@ -64,9 +64,4 @@ private:
   Platform platform_;
 };
 
-/// Measured average seconds/byte of the (idle) bus — the θ the design
-/// algorithm and the analytic pipelined executor consume. A one-kernel
-/// probe platform is enough because θ only depends on the bus config.
-[[nodiscard]] double measured_theta(const PlatformConfig& config);
-
 }  // namespace hybridic::sys::engine

@@ -16,6 +16,9 @@
 
 namespace hybridic::sys::engine {
 
+// Kept apart from to_picoseconds (util/units.hpp): llround and the clamp at
+// 0 round some inputs differently, and the designed model's overheads and
+// the watchdog depend on this rounding.
 inline Picoseconds from_seconds(double seconds) {
   return Picoseconds{static_cast<std::uint64_t>(
       std::llround(std::max(0.0, seconds) * 1e12))};

@@ -102,20 +102,15 @@ Picoseconds InterBoardLinkPolicy::transfer(std::uint32_t step,
                           " around dead link"});
     }
   }
-  // Per-hop store-and-forward cost in integer picoseconds, so cursor
-  // arithmetic is exact and deterministic.
-  const double hop_seconds =
+  // Per-hop store-and-forward cost in integer picoseconds, so link
+  // reservations are exact and deterministic.
+  const Picoseconds hop_cost = to_picoseconds(
       net_->link().latency_seconds +
       static_cast<double>(bytes.count()) /
-          net_->link().bandwidth_bytes_per_second;
-  const Picoseconds hop_cost{
-      static_cast<std::uint64_t>(hop_seconds * 1e12 + 0.5)};
+          net_->link().bandwidth_bytes_per_second);
   Picoseconds at = ready;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    Picoseconds& free = link_free_[{path[i], path[i + 1]}];
-    const Picoseconds start = std::max(at, free);
-    at = start + hop_cost;
-    free = at;
+    at = links_[{path[i], path[i + 1]}].reserve(at, hop_cost);
   }
   ++transfers_;
   bytes_moved_ += bytes.count();

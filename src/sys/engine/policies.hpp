@@ -29,6 +29,7 @@
 #include <utility>
 
 #include "mem/full_crossbar.hpp"
+#include "sys/engine/busy_until.hpp"
 #include "sys/engine/context.hpp"
 #include "sys/engine/ops.hpp"
 #include "sys/engine/trace.hpp"
@@ -164,8 +165,8 @@ private:
 /// producer board's SDRAM through the link controller (a bus master, like
 /// the DMA engine) and land in the consumer board's SDRAM. Timing is
 /// store-and-forward per hop (b_eff: latency + bytes/bandwidth each), with
-/// one busy cursor per directed link so concurrent transfers over a shared
-/// link serialize deterministically. Dead links reroute per the
+/// each directed link a BusyUntil resource so concurrent transfers over a
+/// shared link serialize deterministically. Dead links reroute per the
 /// BoardNetwork (ring/mesh); each rerouted (src, dst) board pair is
 /// annotated once and counted.
 class InterBoardLinkPolicy {
@@ -189,8 +190,9 @@ public:
 private:
   const BoardNetwork* net_;
   ExecTrace* trace_;
-  /// Busy-until cursor per directed link (src board, dst board).
-  std::map<std::pair<std::uint32_t, std::uint32_t>, Picoseconds> link_free_;
+  /// One serial resource per directed link (src board, dst board).
+  std::map<std::pair<std::uint32_t, std::uint32_t>, BusyUntil<Picoseconds>>
+      links_;
   std::set<std::pair<std::uint32_t, std::uint32_t>> rerouted_logged_;
   std::uint64_t reroutes_ = 0;
   std::uint64_t transfers_ = 0;

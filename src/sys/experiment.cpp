@@ -1,6 +1,5 @@
 #include "sys/experiment.hpp"
 
-#include "sys/engine/context.hpp"
 #include "util/error.hpp"
 
 namespace hybridic::sys {
@@ -12,9 +11,8 @@ core::DesignInput make_design_input(const AppSchedule& schedule,
   input.kernels = schedule.specs;
   input.kernel_clock = platform.kernel_clock;
 
-  // θ: measured average sec/byte of the (idle) bus at a representative
-  // transfer size.
-  input.theta.seconds_per_byte = engine::measured_theta(platform);
+  // θ: average sec/byte of the idle bus at a representative transfer size.
+  input.theta.seconds_per_byte = bus_theta(platform);
 
   input.stream_overhead_seconds = platform.stream_overhead_seconds;
   input.duplication_overhead_seconds = platform.duplication_overhead_seconds;

@@ -1,14 +1,15 @@
 // Multi-board execution: replay one application schedule across N boards.
 //
 // Each board runs the unchanged single-board DesignedModel over its
-// projected sub-schedule (its kernels plus, on board 0, every host step);
-// the global walk dispatches steps in program order to their owning
-// board's model. Cut edges move over the InterBoardLinkPolicy: when a
-// producer step finishes, its cross-board bytes ride the serial links
-// (store-and-forward, per-directed-link busy cursors) and the consumer
-// board's cursor is lifted to the arrival time. With board_count == 1
-// everything delegates verbatim to run_designed, so single-board results
-// are bit-identical to the pre-multi-board engine.
+// projected sub-schedule (its kernels plus, on board 0, every host step).
+// The one ScheduleWalker replays the global schedule in program order
+// through a multi-board VariantModel that dispatches each step to its
+// owning board's model. Cut edges move over the InterBoardLinkPolicy:
+// when a producer step finishes, its cross-board bytes ride the serial
+// links (store-and-forward, each directed link a BusyUntil resource) and
+// the consumer board's cursor is lifted to the arrival time. With
+// board_count == 1 everything delegates verbatim to run_designed, so
+// single-board results are bit-identical to the single-board engine.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "core/kernel_model.hpp"
+#include "sys/engine/busy_until.hpp"
 #include "sys/engine/context.hpp"
 #include "sys/engine/edge_router.hpp"
 #include "sys/engine/policies.hpp"
@@ -14,29 +15,6 @@
 #include "util/error.hpp"
 
 namespace hybridic::sys {
-
-namespace {
-
-/// Busy-until cursor for a serial resource.
-class Cursor {
-public:
-  /// Occupy the resource for `duration` starting no earlier than
-  /// `earliest`; returns completion time.
-  double reserve(double earliest, double duration) {
-    const double start = std::max(earliest, free_at_);
-    free_at_ = start + duration;
-    occupancy_ += duration;
-    return free_at_;
-  }
-  [[nodiscard]] double peek() const { return free_at_; }
-  [[nodiscard]] double occupancy() const { return occupancy_; }
-
-private:
-  double free_at_ = 0.0;
-  double occupancy_ = 0.0;
-};
-
-}  // namespace
 
 PipelineResult run_designed_pipelined(const AppSchedule& schedule,
                                       const core::DesignResult& design,
@@ -52,7 +30,7 @@ PipelineResult run_designed_pipelined(const AppSchedule& schedule,
   const std::set<prof::FunctionId>& hw_set = ctx.hw_set();
 
   // θ of the baseline bus (the same the design algorithm used).
-  const double theta = engine::measured_theta(config);
+  const double theta = bus_theta(config);
 
   // Per-spec pipeline-stage parameters.
   struct Stage {
@@ -124,9 +102,10 @@ PipelineResult run_designed_pipelined(const AppSchedule& schedule,
   // by (frame, step) for determinism). This lets the host load frame f+1
   // while frame f's results are still in flight — the software-pipelined
   // loop the custom interconnect enables.
-  Cursor host;
-  Cursor bus;
-  std::map<std::size_t, Cursor> kernels;  // spec -> serial kernel resource
+  engine::BusyUntil<double> host;
+  engine::BusyUntil<double> bus;
+  // spec -> serial kernel resource
+  std::map<std::size_t, engine::BusyUntil<double>> kernels;
 
   struct Op {
     std::uint32_t frame = 0;
@@ -209,11 +188,11 @@ PipelineResult run_designed_pipelined(const AppSchedule& schedule,
       const ScheduleStep& step = schedule.steps[op.step];
       double start = ready;
       if (!step.is_kernel) {
-        start = std::max(start, host.peek());
+        start = std::max(start, host.free_at());
       } else {
         const Stage& stage = stages.at(step.spec_index);
         if (stage.host_in_theta > 0.0) {
-          start = std::max(start, bus.peek());
+          start = std::max(start, bus.free_at());
         }
         // The kernel itself gates after the fetch; using the fetch start
         // keeps the pick greedy but consistent.
@@ -242,7 +221,7 @@ PipelineResult run_designed_pipelined(const AppSchedule& schedule,
           stage.host_in_theta > 0.0
               ? bus.reserve(ready, stage.host_in_theta)
               : ready;
-      Cursor& kernel = kernels[step.spec_index];
+      engine::BusyUntil<double>& kernel = kernels[step.spec_index];
       op.compute_end = kernel.reserve(fetch_end, stage.tau_eff);
       const double wb_end =
           stage.host_out_theta > 0.0

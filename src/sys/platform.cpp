@@ -66,8 +66,9 @@ std::optional<std::uint32_t> Platform::noc_node(
   return it->second;
 }
 
-double Platform::measured_theta(Bytes reference) const {
-  return bus_->theta_seconds_per_byte(reference);
+double bus_theta(const PlatformConfig& config) {
+  return bus::theta_seconds_per_byte(config.bus, config.bus_clock.period(),
+                                     Bytes{4096});
 }
 
 }  // namespace hybridic::sys

@@ -63,41 +63,28 @@ struct PlatformConfig {
   double watchdog_seconds = 10.0;
 };
 
-/// A multi-FPGA platform: N per-board PlatformConfigs joined by an
-/// inter-board serial-link network (chain / ring / mesh of point-to-point
-/// links, b_eff style). The host CPU lives on board 0. board_count() == 1
-/// degenerates to the plain single-board platform: every multi-board
-/// entry point then delegates verbatim to the single-board code path.
+/// A multi-FPGA platform: `board_count` boards, each configured as `board`,
+/// joined by an inter-board serial-link network (chain / ring / mesh of
+/// point-to-point links, b_eff style). The host CPU lives on board 0.
+/// board_count == 1 degenerates to the plain single-board platform: every
+/// multi-board entry point then delegates verbatim to the single-board
+/// code path.
 struct MultiBoardConfig {
-  std::vector<PlatformConfig> boards{PlatformConfig{}};
+  PlatformConfig board;  ///< What every board runs, faults included.
+  std::uint32_t board_count = 1;
   core::BoardTopology topology = core::BoardTopology::kChain;
   InterBoardLinkConfig link;
-  /// Seed for the level-one board partition (deterministic tie-breaks).
-  std::uint64_t partition_seed = 1;
-
-  [[nodiscard]] std::uint32_t board_count() const {
-    return static_cast<std::uint32_t>(boards.size());
-  }
-  [[nodiscard]] const PlatformConfig& board(std::uint32_t b) const {
-    return boards.at(b);
-  }
-  /// Dead inter-board links travel in the per-board fault spec (board 0
-  /// holds the authoritative copy — uniform() replicates one config).
-  [[nodiscard]] const std::vector<faults::LinkDown>& dead_board_links()
-      const {
-    return boards.at(0).faults.dead_board_links;
-  }
-
-  /// N identical boards built from `base`.
-  [[nodiscard]] static MultiBoardConfig uniform(
-      std::uint32_t board_count, const PlatformConfig& base = {},
-      core::BoardTopology topology = core::BoardTopology::kChain) {
-    MultiBoardConfig config;
-    config.boards.assign(board_count, base);
-    config.topology = topology;
-    return config;
-  }
+  /// Permanently failed inter-board serial links, named by the two board
+  /// ids they connect. On ring/mesh topologies traffic reroutes around a
+  /// dead link; a disconnected topology (any dead chain link) is a
+  /// ConfigError.
+  std::vector<faults::LinkDown> dead_board_links;
 };
+
+/// θ of the idle bus: the average seconds/byte of a 4096-byte transfer
+/// (arbitration, address phases and data beats at the bus clock) — the θ
+/// the design algorithm and the pipelined executor consume.
+[[nodiscard]] double bus_theta(const PlatformConfig& config);
 
 /// A runnable platform for one application design. Owns the engine.
 class Platform {
@@ -125,10 +112,6 @@ public:
   /// Mesh node of an instance's kernel / memory attachment, if on the NoC.
   [[nodiscard]] std::optional<std::uint32_t> noc_node(
       std::size_t instance, core::NocNodeKind kind) const;
-
-  /// Measured average seconds/byte of the bus for a reference transfer —
-  /// the θ the design algorithm consumes.
-  [[nodiscard]] double measured_theta(Bytes reference = Bytes{4096}) const;
 
   [[nodiscard]] const PlatformConfig& config() const { return config_; }
 

@@ -8,61 +8,10 @@
 
 namespace hybridic::sys {
 
-std::string render_timeline(const RunResult& result,
-                            const TimelineOptions& options) {
-  std::ostringstream out;
-  out << "timeline: " << result.system_name << "  total "
-      << format_fixed(result.total_seconds * 1e3, 3) << " ms\n";
-  if (result.steps.empty() || result.total_seconds <= 0.0) {
-    return out.str();
-  }
-
-  std::size_t label_width = 4;
-  for (const StepTiming& step : result.steps) {
-    label_width = std::max(label_width, step.name.size());
-  }
-
-  const double scale =
-      static_cast<double>(options.width_chars) / result.total_seconds;
-  const auto column = [scale](double seconds) {
-    return static_cast<std::uint32_t>(std::lround(seconds * scale));
-  };
-
-  for (const StepTiming& step : result.steps) {
-    if (!options.show_host_steps && !step.is_kernel) {
-      continue;
-    }
-    const std::uint32_t start = column(step.start_seconds);
-    const std::uint32_t end =
-        std::max(column(step.done_seconds), start + 1);
-    // Within [start, end): communication first (fetch), then compute.
-    // The renderer splits proportionally since phases interleave.
-    const double span = step.done_seconds - step.start_seconds;
-    const double comm_fraction =
-        span > 0.0 ? std::min(1.0, step.comm_seconds / span) : 0.0;
-    const auto comm_cols = static_cast<std::uint32_t>(
-        std::lround(comm_fraction * (end - start)));
-
-    out << step.name << std::string(label_width - step.name.size(), ' ')
-        << " |" << std::string(start, ' ');
-    const char work = step.is_kernel ? '#' : '=';
-    for (std::uint32_t c = start; c < end; ++c) {
-      out << (c < start + comm_cols ? '.' : work);
-    }
-    out << std::string(options.width_chars - std::min(options.width_chars,
-                                                      end),
-                       ' ')
-        << "| " << format_fixed((step.done_seconds - step.start_seconds) *
-                                    1e3,
-                                3)
-        << " ms\n";
-  }
-  out << std::string(label_width, ' ') << "  ('#' kernel compute, '='"
-      << " host, '.' exposed communication)\n";
-  return out.str();
-}
-
 namespace {
+
+/// Chart area width of both renderers, in characters.
+constexpr std::uint32_t kWidthChars = 72;
 
 char event_glyph(engine::EventKind kind) {
   switch (kind) {
@@ -89,8 +38,55 @@ char event_glyph(engine::EventKind kind) {
 
 }  // namespace
 
-std::string render_trace_lanes(const RunResult& result,
-                               const TimelineOptions& options) {
+std::string render_timeline(const RunResult& result) {
+  std::ostringstream out;
+  out << "timeline: " << result.system_name << "  total "
+      << format_fixed(result.total_seconds * 1e3, 3) << " ms\n";
+  if (result.steps.empty() || result.total_seconds <= 0.0) {
+    return out.str();
+  }
+
+  std::size_t label_width = 4;
+  for (const StepTiming& step : result.steps) {
+    label_width = std::max(label_width, step.name.size());
+  }
+
+  const double scale =
+      static_cast<double>(kWidthChars) / result.total_seconds;
+  const auto column = [scale](double seconds) {
+    return static_cast<std::uint32_t>(std::lround(seconds * scale));
+  };
+
+  for (const StepTiming& step : result.steps) {
+    const std::uint32_t start = column(step.start_seconds);
+    const std::uint32_t end =
+        std::max(column(step.done_seconds), start + 1);
+    // Within [start, end): communication first (fetch), then compute.
+    // The renderer splits proportionally since phases interleave.
+    const double span = step.done_seconds - step.start_seconds;
+    const double comm_fraction =
+        span > 0.0 ? std::min(1.0, step.comm_seconds / span) : 0.0;
+    const auto comm_cols = static_cast<std::uint32_t>(
+        std::lround(comm_fraction * (end - start)));
+
+    out << step.name << std::string(label_width - step.name.size(), ' ')
+        << " |" << std::string(start, ' ');
+    const char work = step.is_kernel ? '#' : '=';
+    for (std::uint32_t c = start; c < end; ++c) {
+      out << (c < start + comm_cols ? '.' : work);
+    }
+    out << std::string(kWidthChars - std::min(kWidthChars, end), ' ')
+        << "| " << format_fixed((step.done_seconds - step.start_seconds) *
+                                    1e3,
+                                3)
+        << " ms\n";
+  }
+  out << std::string(label_width, ' ') << "  ('#' kernel compute, '='"
+      << " host, '.' exposed communication)\n";
+  return out.str();
+}
+
+std::string render_trace_lanes(const RunResult& result) {
   const engine::ExecTrace& trace = result.trace;
   std::ostringstream out;
   out << "trace: " << result.system_name << "  total "
@@ -109,9 +105,9 @@ std::string render_trace_lanes(const RunResult& result,
   }
 
   const double scale =
-      static_cast<double>(options.width_chars) / result.total_seconds;
+      static_cast<double>(kWidthChars) / result.total_seconds;
   const auto column = [&](double seconds) {
-    return std::min(options.width_chars,
+    return std::min(kWidthChars,
                     static_cast<std::uint32_t>(
                         std::lround(std::max(0.0, seconds) * scale)));
   };
@@ -122,7 +118,7 @@ std::string render_trace_lanes(const RunResult& result,
     if (usage.ops == 0) {
       continue;
     }
-    std::string lane(options.width_chars, ' ');
+    std::string lane(kWidthChars, ' ');
     for (const std::size_t i : trace.chronological()) {
       const engine::TraceEvent& event = trace.events()[i];
       if (event.fabric != fabric || engine::is_annotation(event.kind)) {
@@ -131,7 +127,7 @@ std::string render_trace_lanes(const RunResult& result,
       const std::uint32_t start = column(event.start_seconds);
       const std::uint32_t end =
           std::max(column(event.end_seconds),
-                   std::min(options.width_chars, start + 1));
+                   std::min(kWidthChars, start + 1));
       const char glyph = event_glyph(event.kind);
       for (std::uint32_t c = start; c < end; ++c) {
         lane[c] = glyph;
@@ -146,7 +142,7 @@ std::string render_trace_lanes(const RunResult& result,
         continue;
       }
       const std::uint32_t start = column(event.start_seconds);
-      lane[std::min(options.width_chars - 1, start)] =
+      lane[std::min(kWidthChars - 1, start)] =
           event_glyph(event.kind);
     }
     const std::string name = engine::fabric_name(fabric);
@@ -161,20 +157,6 @@ std::string render_trace_lanes(const RunResult& result,
   out << std::string(label_width, ' ')
       << "  ('#' compute, '=' DMA, '>' NoC/crossbar, '*' handoff,"
       << " '!' fault, 'r' retry, '~' reroute)\n";
-  return out.str();
-}
-
-std::string trace_csv(const engine::ExecTrace& trace) {
-  std::ostringstream out;
-  out << "event,kind,fabric,step,start_s,end_s,bytes,label\n";
-  std::size_t row = 0;
-  for (const std::size_t i : trace.chronological()) {
-    const engine::TraceEvent& event = trace.events()[i];
-    out << row++ << ',' << engine::event_kind_name(event.kind) << ','
-        << engine::fabric_name(event.fabric) << ',' << event.step_index
-        << ',' << event.start_seconds << ',' << event.end_seconds << ','
-        << event.bytes << ',' << event.label << '\n';
-  }
   return out.str();
 }
 

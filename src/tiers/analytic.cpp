@@ -137,13 +137,13 @@ TierEstimate analytic_estimate_multi(const sys::AppSchedule& schedule,
                                      const TierCalibration& calibration) {
   if (design.board_count() == 1) {
     // Degenerate path: identical to the single-board estimate.
-    return analytic_estimate(schedule, design.boards.at(0), config.board(0),
+    return analytic_estimate(schedule, design.boards.at(0), config.board,
                              theta_seconds_per_byte, calibration);
   }
 
   const std::uint32_t boards = design.board_count();
   const sys::BoardNetwork net(boards, config.topology, config.link,
-                              config.dead_board_links());
+                              config.dead_board_links);
   const std::vector<sys::AppSchedule> subs =
       sys::board_schedules(schedule, design);
 
@@ -159,8 +159,8 @@ TierEstimate analytic_estimate_multi(const sys::AppSchedule& schedule,
   std::string tags;
   for (std::uint32_t b = 0; b < boards; ++b) {
     const TierEstimate per = analytic_estimate(
-        subs[b], design.boards.at(b), config.board(b),
-        theta_seconds_per_byte, calibration);
+        subs[b], design.boards.at(b), config.board, theta_seconds_per_byte,
+        calibration);
     est.baseline_kernel_seconds += per.baseline_kernel_seconds;
     max_mid = std::max(max_mid, per.designed_kernel_seconds);
     max_lower = std::max(max_lower, per.designed_lower_seconds);

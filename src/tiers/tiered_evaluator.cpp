@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/interconnect_design.hpp"
-#include "sys/engine/context.hpp"
 
 namespace hybridic::tiers {
 
@@ -50,12 +49,9 @@ const char* to_string(EscalationReason reason) {
 
 TieredEvaluator::TieredEvaluator(sys::PlatformConfig platform,
                                  TierCalibration calibration)
-    : platform_(std::move(platform)), calibration_(calibration) {
-  // One bus probe per evaluator instead of one per design point: theta
-  // depends only on the platform, and the probe is the sole simulation
-  // the analytic tier would otherwise touch.
-  theta_ = sys::engine::measured_theta(platform_);
-}
+    : platform_(std::move(platform)),
+      calibration_(calibration),
+      theta_(sys::bus_theta(platform_)) {}
 
 AnalyticCase TieredEvaluator::analyze(const apps::SyntheticConfig& config,
                                       apps::ProfileCache* cache) {

@@ -77,8 +77,8 @@ public:
   [[nodiscard]] TierEstimate estimate(const sys::AppSchedule& schedule,
                                       const core::DesignResult& design);
 
-  /// Theta the analytic tier feeds Algorithm 1. Measured once per
-  /// evaluator: the simulated bus probe depends only on the platform.
+  /// Theta the analytic tier feeds Algorithm 1, computed once per
+  /// evaluator from the platform's bus config.
   [[nodiscard]] double theta_seconds_per_byte() const { return theta_; }
 
   [[nodiscard]] const sys::PlatformConfig& platform() const {

@@ -155,6 +155,12 @@ private:
   return Cycles{(time.count() + period - 1) / period};
 }
 
+/// A non-negative duration in seconds, rounded half up to picoseconds;
+/// Picoseconds::seconds() round-trips exactly through it.
+[[nodiscard]] constexpr Picoseconds to_picoseconds(double seconds) {
+  return Picoseconds{static_cast<std::uint64_t>(seconds * 1e12 + 0.5)};
+}
+
 [[nodiscard]] std::string format_time(Picoseconds t);
 [[nodiscard]] std::string format_bytes(Bytes b);
 

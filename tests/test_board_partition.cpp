@@ -116,7 +116,6 @@ TEST(BoardPartition, DeterministicPureFunctionOfItsInput) {
   input.graph = schedule.graph;
   input.kernels = schedule.specs;
   input.board_count = 3;
-  input.seed = 9;
 
   const BoardPartition a = partition_boards(input);
   const BoardPartition b = partition_boards(input);

@@ -39,7 +39,8 @@ TEST_F(BusTest, ZeroByteTransactionStillRunsAddressPhase) {
 
 TEST_F(BusTest, ThetaMatchesUncontendedTime) {
   const Bytes reference{4096};
-  const double theta = bus_.theta_seconds_per_byte(reference);
+  const double theta =
+      theta_seconds_per_byte(plb_like(), kBusClock.period(), reference);
   EXPECT_DOUBLE_EQ(theta, bus_.uncontended_time(reference).seconds() /
                               4096.0);
 }
@@ -159,16 +160,15 @@ TEST(BusConfigValidation, RejectsBadConfigs) {
 class SingleBeatTheta : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(SingleBeatTheta, MatchesClosedForm) {
-  sim::Engine engine;
   const std::uint32_t width = GetParam();
-  Bus bus{"b", engine, kBusClock,
-          BusConfig{width, 1, Cycles{2}, Cycles{1}, 1}};
+  const BusConfig config{width, 1, Cycles{2}, Cycles{1}, 1};
   const Bytes n{width * 100};
   // 2 arb + per-word (1 addr + 1 beat) * 100.
   const double expected =
       (2.0 + 200.0) * kBusClock.period().seconds() /
       static_cast<double>(n.count());
-  EXPECT_NEAR(bus.theta_seconds_per_byte(n), expected, 1e-15);
+  EXPECT_NEAR(theta_seconds_per_byte(config, kBusClock.period(), n),
+              expected, 1e-15);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, SingleBeatTheta,

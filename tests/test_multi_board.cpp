@@ -1,9 +1,9 @@
 // Multi-board stack tests: BoardNetwork routing (chain/ring/mesh, dead
 // links, reroutes), the boards=1 degenerate identity against the
 // single-board engine, a real 2-board chain run, the multi-board analytic
-// tier, store-scope non-aliasing, sampler RNG-stream preservation, the
-// reproducer board-field round trip, and campaign determinism across
-// thread counts with the board dimension swept.
+// tier, sampler RNG-stream preservation, the reproducer board-field round
+// trip, and campaign determinism across thread counts with the board
+// dimension swept.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include "core/multi_board_design.hpp"
 #include "dse/campaign.hpp"
 #include "dse/reproducer.hpp"
-#include "store/adapters.hpp"
 #include "sys/board_net.hpp"
 #include "sys/experiment.hpp"
 #include "sys/multi_board.hpp"
@@ -29,6 +28,13 @@ apps::SyntheticConfig synthetic_config(std::uint64_t seed) {
   config.kernel_count = 6;
   config.kernel_edge_probability = 0.5;
   config.seed = seed;
+  return config;
+}
+
+/// `count` default boards on a healthy chain.
+sys::MultiBoardConfig chain_of(std::uint32_t count) {
+  sys::MultiBoardConfig config;
+  config.board_count = count;
   return config;
 }
 
@@ -107,7 +113,7 @@ TEST(MultiBoardRun, SingleBoardIsBitIdenticalToRunDesigned) {
   const sys::RunResult expect =
       sys::run_designed(schedule, single, sys::PlatformConfig{});
   const sys::MultiBoardRunResult got = sys::run_designed_multi(
-      schedule, multi, sys::MultiBoardConfig::uniform(1));
+      schedule, multi, chain_of(1));
 
   EXPECT_EQ(got.run.total_seconds, expect.total_seconds);
   EXPECT_EQ(got.run.kernel_seconds(), expect.kernel_seconds());
@@ -132,7 +138,7 @@ TEST(MultiBoardRun, TwoBoardChainMovesCutBytesOverTheLinks) {
   ASSERT_EQ(multi.board_count(), 2U);
 
   const sys::MultiBoardRunResult run = sys::run_designed_multi(
-      schedule, multi, sys::MultiBoardConfig::uniform(2));
+      schedule, multi, chain_of(2));
   EXPECT_GT(run.run.total_seconds, 0.0);
   EXPECT_EQ(run.board_end_seconds.size(), 2U);
   if (!multi.cut_edges.empty()) {
@@ -145,7 +151,7 @@ TEST(MultiBoardRun, TwoBoardChainMovesCutBytesOverTheLinks) {
 
   // Re-running is deterministic to the bit.
   const sys::MultiBoardRunResult again = sys::run_designed_multi(
-      schedule, multi, sys::MultiBoardConfig::uniform(2));
+      schedule, multi, chain_of(2));
   EXPECT_EQ(again.run.total_seconds, run.run.total_seconds);
   EXPECT_EQ(again.inter_board_bytes, run.inter_board_bytes);
 }
@@ -167,7 +173,7 @@ TEST(MultiBoardAnalytic, SingleBoardEstimateMatchesTheSingleBoardTier) {
       schedule, multi.boards.at(0), sys::PlatformConfig{},
       input.base.theta.seconds_per_byte);
   const tiers::TierEstimate got = tiers::analytic_estimate_multi(
-      schedule, multi, sys::MultiBoardConfig::uniform(1),
+      schedule, multi, chain_of(1),
       input.base.theta.seconds_per_byte);
 
   EXPECT_EQ(got.solution_tag, single.solution_tag);
@@ -189,35 +195,13 @@ TEST(MultiBoardAnalytic, CutEdgesProduceASerializedInterBoardTerm) {
   ASSERT_FALSE(multi.cut_edges.empty());
 
   const tiers::TierEstimate est = tiers::analytic_estimate_multi(
-      schedule, multi, sys::MultiBoardConfig::uniform(2),
+      schedule, multi, chain_of(2),
       input.base.theta.seconds_per_byte);
   EXPECT_EQ(est.inter_board_edges, multi.cut_edges.size());
   EXPECT_EQ(est.inter_board_bytes, multi.partition.cut_bytes.count());
   EXPECT_GT(est.inter_board_seconds, 0.0);
   EXPECT_LE(est.designed_lower_seconds, est.designed_kernel_seconds);
   EXPECT_LE(est.designed_kernel_seconds, est.designed_upper_seconds);
-}
-
-// ---------------------------------------------------------------------------
-// Store scope: multi-board estimates never alias single-board ones.
-// ---------------------------------------------------------------------------
-
-TEST(MultiBoardStore, EstimateScopesNeverAlias) {
-  const tiers::TierCalibration calibration;
-  const std::string single =
-      store::estimate_scope(sys::PlatformConfig{}, calibration);
-  const std::string one_board =
-      store::estimate_scope(sys::MultiBoardConfig::uniform(1), calibration);
-  const std::string chain2 =
-      store::estimate_scope(sys::MultiBoardConfig::uniform(2), calibration);
-  const std::string ring2 = store::estimate_scope(
-      sys::MultiBoardConfig::uniform(2, sys::PlatformConfig{},
-                                     core::BoardTopology::kRing),
-      calibration);
-  EXPECT_NE(one_board, single);
-  EXPECT_NE(chain2, single);
-  EXPECT_NE(chain2, one_board);
-  EXPECT_NE(chain2, ring2);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Platform assembly: the measured bus theta and the per-design fabrics.
+// Platform assembly: the bus theta and the per-design fabrics.
 #include <gtest/gtest.h>
 
 #include "core/interconnect_design.hpp"
@@ -9,11 +9,10 @@ namespace hybridic {
 namespace {
 
 TEST(Platform, MeasuredThetaMatchesSingleBeatModel) {
-  sys::PlatformConfig config;  // 32-bit single-beat PLB.
-  sys::Platform platform(config, 1, nullptr);
+  const sys::PlatformConfig config;  // 32-bit single-beat PLB.
   // arb 2 + per word (1 addr + 1 beat): (2 + 2*1024) cycles over 4096 B.
   const double expected = (2.0 + 2.0 * 1024.0) * 10e-9 / 4096.0;
-  EXPECT_NEAR(platform.measured_theta(), expected, 1e-12);
+  EXPECT_NEAR(sys::bus_theta(config), expected, 1e-12);
 }
 
 TEST(Platform, NoNetworkWithoutDesign) {

@@ -41,14 +41,6 @@ TEST(Timeline, RendersAllSteps) {
   EXPECT_NE(out.find('.'), std::string::npos);  // exposed communication
 }
 
-TEST(Timeline, HostStepsCanBeHidden) {
-  TimelineOptions options;
-  options.show_host_steps = false;
-  const std::string out = render_timeline(sample_run(), options);
-  EXPECT_EQ(out.find("host_prep"), std::string::npos);
-  EXPECT_NE(out.find("kernel_a"), std::string::npos);
-}
-
 TEST(Timeline, EmptyRunDoesNotCrash) {
   RunResult empty;
   empty.system_name = "empty";
@@ -57,9 +49,7 @@ TEST(Timeline, EmptyRunDoesNotCrash) {
 }
 
 TEST(Timeline, BarsReflectDurations) {
-  TimelineOptions options;
-  options.width_chars = 50;
-  const std::string out = render_timeline(sample_run(), options);
+  const std::string out = render_timeline(sample_run());
   // The kernel occupies 80% of the run: its bar must be much longer than
   // the host's 20% bar.
   std::istringstream lines{out};

@@ -1,11 +1,11 @@
-// Golden-schema tests for the two machine-readable trace exporters added
-// with the structured-trace engine: the per-event CSV (sys::trace_csv) and
-// the Chrome-trace/Perfetto JSON (engine::chrome_trace_json).
+// Golden-schema tests for the machine-readable trace export: the
+// Chrome-trace/Perfetto JSON (engine::chrome_trace_json), which carries
+// every event field (kind as "cat", fabric as "tid", step, start, end,
+// bytes and label).
 //
-// Downstream tooling (the campaign CSV joins, Perfetto) parses these
-// formats, so their column layout and JSON framing are a contract. The
-// goldens pin the full byte-exact output of one small deterministic run;
-// regenerate after an intentional format change with
+// Downstream tooling (Perfetto) parses this format, so its JSON framing
+// is a contract. The golden pins the full byte-exact output of one small
+// deterministic run; regenerate after an intentional format change with
 //   HYBRIDIC_UPDATE_TRACE_GOLDENS=1 ctest -R TraceSchema
 // and review the diff.
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "apps/synthetic.hpp"
 #include "sys/engine/chrome_trace.hpp"
 #include "sys/executor.hpp"
-#include "sys/timeline.hpp"
 
 namespace hybridic::sys {
 namespace {
@@ -65,24 +64,6 @@ void check_against_golden(const std::string& file_name,
       << file_name
       << " drifted; if the format change is intentional, regenerate the "
          "golden and update any consumers";
-}
-
-TEST(TraceSchema, EventCsvMatchesGolden) {
-  check_against_golden("baseline_trace.csv", trace_csv(golden_run().trace));
-}
-
-TEST(TraceSchema, EventCsvHeaderIsTheDocumentedContract) {
-  const std::string csv = trace_csv(golden_run().trace);
-  const std::string header = csv.substr(0, csv.find('\n'));
-  EXPECT_EQ(header, "event,kind,fabric,step,start_s,end_s,bytes,label");
-  // Every data row carries exactly the header's column count.
-  std::size_t pos = csv.find('\n') + 1;
-  while (pos < csv.size()) {
-    const std::size_t end = csv.find('\n', pos);
-    const std::string row = csv.substr(pos, end - pos);
-    EXPECT_EQ(std::count(row.begin(), row.end(), ','), 7) << row;
-    pos = end + 1;
-  }
 }
 
 TEST(TraceSchema, ChromeTraceJsonMatchesGolden) {

@@ -3,8 +3,9 @@
 
 src/util/ holds the one implementation of FNV-1a and splitmix64
 (hash.hpp), of the hex, hex-float and 17-digit decimal codecs and the
-strict number parsers (text.hpp), of the JSON dialect (json.hpp) and of
-the flag grammar (cli.hpp). This scans every C++ source outside src/util/,
+strict number parsers (text.hpp), of the JSON dialect (json.hpp), of the
+flag grammar (cli.hpp) and of the seconds-to-picoseconds rounding
+(units.hpp). This scans every C++ source outside src/util/,
 tests/ and hybench/ with comments stripped, and reports each line that
 spells one of those primitives' telltale tokens.
 
@@ -28,6 +29,7 @@ TOKENS = [
     ("max_digits10", re.compile(r"max_digits10")),
     ("std::sto*", re.compile(r"std::sto")),
     ("class FlatJsonParser", re.compile(r"class\s+FlatJsonParser")),
+    ("seconds->ps rounding", re.compile(r"\*\s*1e12\s*\+\s*0\.5")),
 ]
 
 
