@@ -1,12 +1,17 @@
 // Google-benchmark micro-benchmarks of the QUAD-style profiler: tracked
-// access overhead in both attribution modes, shadow-memory scans, and full
-// application profiling (the paper apps profile in kDeferred mode).
+// access overhead in both attribution modes, shadow-memory scans and bulk
+// runs, and full application profiling (the paper apps profile in
+// kDeferred mode, synthetic designs as whole-buffer address runs).
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "apps/canny.hpp"
 #include "apps/fluid.hpp"
 #include "apps/jpeg.hpp"
 #include "apps/klt.hpp"
+#include "apps/synthetic.hpp"
+#include "dse/campaign.hpp"
 #include "prof/tracked.hpp"
 
 namespace {
@@ -60,6 +65,43 @@ void BM_ShadowScanRuns(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 64 * 128);
 }
 BENCHMARK(BM_ShadowScanRuns);
+
+/// One 1 MiB run, as a synthetic design's buffer: written whole, then
+/// scanned whole (256 uniform pages, four chunks).
+void BM_ShadowBulkRun(benchmark::State& state) {
+  constexpr std::int64_t kBytes = 1 << 20;
+  for (auto _ : state) {
+    prof::ShadowMemory shadow;
+    shadow.write(0x1000, kBytes, 1);
+    std::uint64_t runs = 0;
+    shadow.scan(0x1000, kBytes,
+                [&runs](std::uint64_t, std::uint64_t, prof::FunctionId) {
+                  ++runs;
+                });
+    benchmark::DoNotOptimize(runs);
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * kBytes);
+}
+BENCHMARK(BM_ShadowBulkRun);
+
+/// The first 200 designs of the campaign's default sweep at seed 1, each
+/// profiled and sealed as the analytic campaign does.
+void BM_ProfileSynthetic(benchmark::State& state) {
+  std::vector<apps::SyntheticConfig> configs;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    configs.push_back(dse::sample_config(dse::SweepSpace{}, 1, i));
+  }
+  for (auto _ : state) {
+    std::size_t edges = 0;
+    for (const apps::SyntheticConfig& config : configs) {
+      edges += apps::make_synthetic_app(config).graph().edge_count();
+    }
+    benchmark::DoNotOptimize(edges);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(configs.size()));
+}
+BENCHMARK(BM_ProfileSynthetic)->Unit(benchmark::kMillisecond);
 
 void BM_ProfileCanny(benchmark::State& state) {
   for (auto _ : state) {

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "prof/tracked.hpp"
+#include "prof/quad.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -26,6 +26,11 @@ void validate_synthetic_config(const SyntheticConfig& cfg) {
                       std::to_string(cfg.min_edge_bytes) +
                       ") must not exceed max_edge_bytes (" +
                       std::to_string(cfg.max_edge_bytes) + ")"};
+  }
+  if (cfg.max_edge_bytes > kMaxEdgeBytes) {
+    throw ConfigError{"SyntheticConfig.max_edge_bytes must be <= " +
+                      std::to_string(kMaxEdgeBytes) + ", got " +
+                      std::to_string(cfg.max_edge_bytes)};
   }
   if (cfg.min_work_units > cfg.max_work_units) {
     throw ConfigError{"SyntheticConfig.min_work_units (" +
@@ -112,25 +117,22 @@ ProfiledApp make_synthetic_app(const SyntheticConfig& cfg) {
   const std::uint64_t source_size =
       *std::max_element(host_in.begin(), host_in.end()) + 64;
 
-  prof::TrackedBuffer<std::uint8_t> source_buf{q, "source_buf", source_size};
-  std::vector<std::unique_ptr<prof::TrackedBuffer<std::uint8_t>>> out_bufs;
+  // Only addresses are profiled, so each buffer is a reserved address
+  // range with no payload behind it, aligned as TrackedBuffer<uint8_t>
+  // aligns its own.
+  const std::uint64_t source_base = q.allocate(source_size, 8);
+  std::vector<std::uint64_t> out_base(k);
   for (std::uint32_t i = 0; i < k; ++i) {
-    out_bufs.push_back(std::make_unique<prof::TrackedBuffer<std::uint8_t>>(
-        q, "out" + std::to_string(i), out_size[i]));
+    out_base[i] = q.allocate(out_size[i], 8);
   }
-
-  std::vector<std::uint8_t> scratch(
-      std::max(source_size, *std::max_element(out_size.begin(),
-                                              out_size.end())));
 
   // ---- source (host): publish input data. ----
   {
     prof::ScopedFunction scope{q, fn_source};
-    // Payload values are never read (profiling tracks addresses only); the
-    // generator still advances as if one byte were drawn per element, so
-    // every later draw is unchanged.
+    // The generator advances as if one payload byte were drawn per
+    // element, so every later draw is unchanged.
     rng.discard(source_size);
-    source_buf.write_range(0, source_size, scratch.data());
+    q.record_write(source_base, source_size);
     q.add_work(source_size / 8);
   }
 
@@ -139,15 +141,18 @@ ProfiledApp make_synthetic_app(const SyntheticConfig& cfg) {
   for (std::uint32_t j = 0; j < k; ++j) {
     prof::ScopedFunction scope{q, kernel_fn[j]};
     if (host_in[j] != 0) {
-      source_buf.read_range(0, host_in[j], scratch.data());
+      require(host_in[j] <= source_size, "host input past the source buffer");
+      q.record_read(source_base, host_in[j]);
     }
     for (std::uint32_t i = 0; i < j; ++i) {
       if (edge_bytes[i][j] != 0) {
-        out_bufs[i]->read_range(0, edge_bytes[i][j], scratch.data());
+        require(edge_bytes[i][j] <= out_size[i],
+                "kernel edge past its producer's output buffer");
+        q.record_read(out_base[i], edge_bytes[i][j]);
       }
     }
     rng.discard(out_size[j]);
-    out_bufs[j]->write_range(0, out_size[j], scratch.data());
+    q.record_write(out_base[j], out_size[j]);
     work[j] = rng.between(cfg.min_work_units, cfg.max_work_units);
     q.add_work(work[j]);
   }
@@ -157,7 +162,7 @@ ProfiledApp make_synthetic_app(const SyntheticConfig& cfg) {
     prof::ScopedFunction scope{q, fn_sink};
     for (std::uint32_t i = 0; i < k; ++i) {
       if (terminal[i]) {
-        out_bufs[i]->read_range(0, out_size[i], scratch.data());
+        q.record_read(out_base[i], out_size[i]);
       }
     }
     q.add_work(256);

@@ -30,17 +30,22 @@ struct SyntheticConfig {
   std::string board_topology = "chain";  ///< chain | ring | mesh.
 };
 
+/// The largest max_edge_bytes a config may ask for (4 GiB), far above any
+/// sweep's edges; it bounds the address runs a synthetic design records.
+inline constexpr std::uint64_t kMaxEdgeBytes = 1ULL << 32;
+
 /// Validate `config` bounds: kernel_count >= 1, min <= max for edge bytes
-/// and work units, all probabilities in [0, 1], and non-zero edge bytes
-/// (kernels must be able to communicate). Throws ConfigError naming the
-/// offending field.
+/// and work units, max_edge_bytes <= kMaxEdgeBytes, all probabilities in
+/// [0, 1], and non-zero edge bytes (kernels must be able to communicate).
+/// Throws ConfigError naming the offending field.
 void validate_synthetic_config(const SyntheticConfig& config);
 
-/// Generate a synthetic profiled application. The profile is produced by
-/// an actual tracked run of a generated dataflow (so every invariant the
-/// real profiler guarantees also holds here). Acyclic by construction:
-/// function i only feeds functions j > i. Throws ConfigError (via
-/// validate_synthetic_config) on out-of-bounds configs.
+/// Generate a synthetic profiled application. The generated dataflow's
+/// buffer accesses are recorded as address runs (whole-buffer reads and
+/// writes, with no payload behind them) through the real QuadProfiler, so
+/// every invariant the profiler guarantees also holds here. Acyclic by
+/// construction: function i only feeds functions j > i. Throws
+/// ConfigError (via validate_synthetic_config) on out-of-bounds configs.
 [[nodiscard]] ProfiledApp make_synthetic_app(const SyntheticConfig& config);
 
 }  // namespace hybridic::apps

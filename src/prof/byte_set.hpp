@@ -1,19 +1,22 @@
 // PagedByteSet: a sparse set of 64-bit byte addresses stored as paged
 // bitmaps, used for the profiler's unique-footprint and UMA (unique memory
 // address) accounting. Replaces per-byte unordered_set inserts with
-// word-granular bitmap updates: an N-byte range costs O(N/64) word ops and
-// at most one hash lookup per 4 KiB page, and popcount gives the exact
-// number of freshly inserted addresses — so counts match a byte-by-byte
-// insert loop bit for bit.
+// word-granular bitmap updates, and popcount gives the exact number of
+// freshly inserted addresses — so counts match a byte-by-byte insert loop
+// bit for bit.
 //
-// A whole-page insert makes the page *full*: its key stays present but it
-// owns no bitmap, so the bulk accesses of synthetic designs cost one hash
-// node per page and no 512-byte bitmap. Partial inserts into a full page
-// add nothing. A small direct-mapped cache (slot = page % kCacheSlots)
-// remembers each recently touched page's bitmap, or that it is full, so
-// the element-by-element inserts of the paper apps, whose stencil loops
-// alternate between a handful of pages, skip the hash lookup
-// (docs/MODEL.md §10).
+// Pages live in 64-page chunks (prof/chunk_directory.hpp). A page is
+// absent, *partial* (it owns a 512-byte bitmap) or *full* (it holds every
+// address and owns no bitmap), and a chunk keeps its full and its partial
+// pages as two 64-bit masks. A run of whole pages is therefore a mask
+// operation: one popcount counts the absent pages it fills, and the only
+// per-page work is popcounting the bitmaps of the partial pages it fills
+// and drops. A bulk insert costs O(its chunks) plus its partial first and
+// last page. Partial inserts into a full page add nothing. A small
+// direct-mapped cache (slot = page % kCacheSlots) remembers each recently
+// touched page's bitmap, or that it is full, so the element-by-element
+// inserts of the paper apps, whose stencil loops alternate between a
+// handful of pages, skip the chunk lookup (docs/MODEL.md §10).
 #pragma once
 
 #include <algorithm>
@@ -21,14 +24,15 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+
+#include "prof/chunk_directory.hpp"
 
 namespace hybridic::prof {
 
 /// Sparse address set with O(1) size() and bulk range insertion.
 class PagedByteSet {
 public:
-  static constexpr std::uint64_t kPageBytes = 4096;
+  static constexpr std::uint64_t kPageBytes = PageGeometry::kPageBytes;
 
   /// Insert every address in [addr, addr+size); returns how many were not
   /// yet present (the "fresh" count UMA accounting needs).
@@ -52,15 +56,19 @@ public:
   bool insert(std::uint64_t addr) { return insert_range(addr, 1) != 0; }
 
   [[nodiscard]] bool contains(std::uint64_t addr) const {
-    const auto it = pages_.find(addr / kPageBytes);
-    if (it == pages_.end()) {
+    const Chunk* chunk = chunks_.find(addr / kChunkBytes);
+    if (chunk == nullptr) {
       return false;
     }
-    if (it->second == nullptr) {
-      return true;  // Full page.
+    const std::uint64_t index = addr / kPageBytes % kChunkPages;
+    if ((chunk->full >> index & 1U) != 0) {
+      return true;
+    }
+    if ((chunk->partial >> index & 1U) == 0) {
+      return false;
     }
     const std::uint64_t offset = addr % kPageBytes;
-    return ((*it->second)[offset / 64] >> (offset % 64) & 1U) != 0;
+    return ((*chunk->bitmaps[index])[offset / 64] >> (offset % 64) & 1U) != 0;
   }
 
   /// Number of distinct addresses inserted.
@@ -69,18 +77,38 @@ public:
   [[nodiscard]] bool empty() const { return count_ == 0; }
 
   /// Pages holding at least one address, full or not.
-  [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
+  [[nodiscard]] std::size_t page_count() const {
+    std::size_t pages = 0;
+    chunks_.for_each([&pages](const Chunk& chunk) {
+      pages += static_cast<std::size_t>(
+          std::popcount(chunk.full | chunk.partial));
+    });
+    return pages;
+  }
 
   /// Pages that still own a bitmap (kPageBytes/8 bytes each); full pages
   /// own none.
   [[nodiscard]] std::size_t bitmap_page_count() const {
-    return static_cast<std::size_t>(std::count_if(
-        pages_.begin(), pages_.end(),
-        [](const auto& entry) { return entry.second != nullptr; }));
+    std::size_t pages = 0;
+    chunks_.for_each([&pages](const Chunk& chunk) {
+      pages += static_cast<std::size_t>(std::popcount(chunk.partial));
+    });
+    return pages;
   }
 
 private:
   using Page = std::array<std::uint64_t, kPageBytes / 64>;
+
+  static constexpr std::uint64_t kChunkPages = PageGeometry::kChunkPages;
+  static constexpr std::uint64_t kChunkBytes = PageGeometry::kChunkBytes;
+
+  /// 64 pages: bit i of `full` or `partial` describes page i, and a
+  /// partial page's bitmap is bitmaps[i]. No page is in both masks.
+  struct Chunk {
+    std::uint64_t full = 0;
+    std::uint64_t partial = 0;
+    std::array<std::unique_ptr<Page>, kChunkPages> bitmaps;
+  };
 
   /// Fewer slots than the shadow's page cache: a profiler holds two sets
   /// per function and one per edge, and the element loops of the paper
@@ -97,17 +125,24 @@ private:
 
   CacheSlot& slot(std::uint64_t key) { return cache_[key % kCacheSlots]; }
 
-  /// insert_range, page by page.
+  /// insert_range, a partial page or a chunk's run of whole pages at a
+  /// time.
   std::uint64_t insert_pages(std::uint64_t addr, std::uint64_t size) {
     std::uint64_t fresh = 0;
     std::uint64_t pos = addr;
     const std::uint64_t end = addr + size;
     while (pos < end) {
       const std::uint64_t offset = pos % kPageBytes;
+      if (offset == 0 && end - pos >= kPageBytes) {
+        const std::uint64_t first = pos / kPageBytes % kChunkPages;
+        const std::uint64_t count =
+            std::min((end - pos) / kPageBytes, kChunkPages - first);
+        fresh += fill_pages(pos / kChunkBytes, first, count);
+        pos += count * kPageBytes;
+        continue;
+      }
       const std::uint64_t in_page = std::min(end - pos, kPageBytes - offset);
-      if (in_page == kPageBytes) {
-        fresh += fill_page(pos / kPageBytes);
-      } else if (Page* page = bitmap_for(pos / kPageBytes); page != nullptr) {
+      if (Page* page = bitmap_for(pos / kPageBytes); page != nullptr) {
         fresh += set_bits(*page, offset, in_page);
       }
       pos += in_page;
@@ -123,34 +158,49 @@ private:
     if (cached.key == key) {
       return cached.bitmap;
     }
-    auto [it, inserted] = pages_.try_emplace(key);
-    if (inserted) {
-      it->second = std::make_unique<Page>();  // Value-initialized: zeros.
+    Chunk& chunk = chunks_.get(key / kChunkPages);
+    const std::uint64_t index = key % kChunkPages;
+    const std::uint64_t bit = 1ULL << index;
+    if (((chunk.full | chunk.partial) & bit) == 0) {
+      chunk.bitmaps[index] = std::make_unique<Page>();  // Zeroed.
+      chunk.partial |= bit;
     }
-    cached = {key, it->second.get()};
+    cached = {key, chunk.bitmaps[index].get()};
     return cached.bitmap;
   }
 
-  /// Make page `key` full; returns how many of its addresses were absent.
-  std::uint64_t fill_page(std::uint64_t key) {
-    CacheSlot& cached = slot(key);
-    if (cached.key == key && cached.bitmap == nullptr) {
-      return 0;
+  /// Make pages [first, first+count) of chunk `key` full; returns how many
+  /// of their addresses were absent.
+  std::uint64_t fill_pages(std::uint64_t key, std::uint64_t first,
+                           std::uint64_t count) {
+    Chunk& chunk = chunks_.get(key);
+    const std::uint64_t mask = PageGeometry::page_mask(first, count);
+    std::uint64_t fresh =
+        kPageBytes * static_cast<std::uint64_t>(
+                         std::popcount(mask & ~(chunk.full | chunk.partial)));
+    for (std::uint64_t dropped = mask & chunk.partial; dropped != 0;
+         dropped &= dropped - 1) {
+      std::unique_ptr<Page>& bitmap =
+          chunk.bitmaps[static_cast<std::size_t>(std::countr_zero(dropped))];
+      std::uint64_t present = 0;
+      for (const std::uint64_t word : *bitmap) {
+        present += static_cast<std::uint64_t>(std::popcount(word));
+      }
+      fresh += kPageBytes - present;
+      bitmap.reset();
     }
-    cached = {key, nullptr};
-    auto [it, inserted] = pages_.try_emplace(key);
-    if (inserted) {
-      return kPageBytes;  // A new key with no bitmap is a full page.
+    chunk.full |= mask;
+    chunk.partial &= ~mask;
+    // Cache the run's last pages as full, as filling page by page would:
+    // they are consecutive, so every slot a page of the run maps to now
+    // names a page of the run, and no slot keeps a dropped bitmap.
+    const std::uint64_t end_page = key * kChunkPages + first + count;
+    for (std::uint64_t page = end_page - std::min<std::uint64_t>(
+                                             count, kCacheSlots);
+         page < end_page; ++page) {
+      slot(page) = {page, nullptr};
     }
-    if (it->second == nullptr) {
-      return 0;
-    }
-    std::uint64_t present = 0;
-    for (const std::uint64_t word : *it->second) {
-      present += static_cast<std::uint64_t>(std::popcount(word));
-    }
-    it->second.reset();
-    return kPageBytes - present;
+    return fresh;
   }
 
   /// Set `count` bits starting at bit `offset`; returns how many flipped
@@ -180,8 +230,7 @@ private:
     return fresh;
   }
 
-  /// A null bitmap marks a full page.
-  std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
+  ChunkDirectory<Chunk> chunks_;
   std::array<CacheSlot, kCacheSlots> cache_{};
   std::uint64_t count_ = 0;
 };

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "apps/synthetic.hpp"
 #include "noc/network.hpp"
 #include "prof/byte_set.hpp"
 #include "prof/tracked.hpp"
@@ -159,6 +160,24 @@ TEST(HotPaths, ElementInsertsIntoCachedPartialPageDoNotAllocate) {
   EXPECT_EQ(allocations() - before, 0U);
   EXPECT_GT(fresh, 0U);
   EXPECT_EQ(set.bitmap_page_count(), 1U);
+}
+
+TEST(HotPaths, SyntheticProfilingAllocatesPerChunkNotPerPage) {
+  // The default shape at 64 KiB and at 4 MiB edges: 64 times the bytes
+  // and pages, but each 256 KiB chunk costs one node per byte set and
+  // shadow, so the allocations grow with chunks alone (192 and 525 when
+  // this was written; a node per 4 KiB page made them 532 and 21207).
+  const auto profile_allocations = [](std::uint64_t max_edge_bytes) {
+    apps::SyntheticConfig config;
+    config.max_edge_bytes = max_edge_bytes;
+    const std::uint64_t before = allocations();
+    const apps::ProfiledApp app = apps::make_synthetic_app(config);
+    EXPECT_GT(app.graph().edge_count(), 0U);
+    return allocations() - before;
+  };
+  const std::uint64_t small = profile_allocations(64 * 1024);
+  const std::uint64_t large = profile_allocations(4 * 1024 * 1024);
+  EXPECT_LT(large, 4 * small) << "64 KiB: " << small << ", 4 MiB: " << large;
 }
 
 /// A clocked component that stays active for a fixed number of edges.

@@ -1,6 +1,7 @@
 // Byte-exact goldens of QUAD profiling: the store::encode_profile bytes of
 // the four paper apps at their default configs, of each app at one
-// held-out config, and of two sampled synthetic designs.
+// held-out config, and of two sampled synthetic designs; and the digests
+// of ten synthetic designs whose 1-4 MiB edges cross many 256 KiB chunks.
 //
 // A profile pins everything Algorithm 1 reads from profiling: every
 // function's work, raw and unique read/write bytes and call count, every
@@ -27,6 +28,8 @@
 #include "apps/synthetic.hpp"
 #include "dse/campaign.hpp"
 #include "store/codec.hpp"
+#include "util/hash.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::apps {
 namespace {
@@ -117,6 +120,47 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Profile>& param) {
       return param.param.name;
     });
+
+/// A synthetic shape with 1-4 MiB edges and the FNV-1a digest of its
+/// encode_profile bytes, recorded with one hash node per 4 KiB page.
+struct LargeEdgeDesign {
+  std::uint32_t kernels;
+  double edge_probability;
+  std::uint64_t min_edge_bytes;
+  std::uint64_t max_edge_bytes;
+  std::uint64_t seed;
+  const char* digest;
+};
+
+TEST(SyntheticProfileDigest, MultiChunkEdgesMatchRecordedDigests) {
+  constexpr std::uint64_t kMiB = 1024 * 1024;
+  // Odd sizes put runs' ends mid-page, so their first and last pages stay
+  // partial while the pages between them fill.
+  const LargeEdgeDesign designs[] = {
+      {2, 1.0, 1 * kMiB, 4 * kMiB, 1, "950f8a658eeac1c3"},
+      {3, 0.5, 1 * kMiB + 17, 2 * kMiB, 2, "89164eafb5537824"},
+      {4, 0.35, 3 * kMiB, 4 * kMiB, 3, "bb7f0caa47121e68"},
+      {5, 0.8, 1 * kMiB, 1 * kMiB + 4095, 4, "cbe31a34dc304448"},
+      {6, 0.2, 2 * kMiB - 1, 3 * kMiB + 1, 5, "df822a1feae713b2"},
+      {6, 0.35, 1 * kMiB, 4 * kMiB, 6, "99668c513c4bb251"},
+      {7, 0.6, 1 * kMiB + 262143, 4 * kMiB - 262145, 7, "2790740c08a91098"},
+      {8, 0.3, 1 * kMiB, 2 * kMiB, 8, "f61a8eec3c8b44e0"},
+      {9, 0.15, 4 * kMiB - 8, 4 * kMiB, 9, "a406cdbbc30bac8e"},
+      {10, 0.4, 1 * kMiB + 4096, 3 * kMiB - 4096, 10, "f7950b51a677efe9"},
+  };
+  for (const LargeEdgeDesign& design : designs) {
+    SyntheticConfig config;
+    config.kernel_count = design.kernels;
+    config.kernel_edge_probability = design.edge_probability;
+    config.min_edge_bytes = design.min_edge_bytes;
+    config.max_edge_bytes = design.max_edge_bytes;
+    config.seed = design.seed;
+    EXPECT_EQ(util::hex16(util::fnv1a64(
+                  store::encode_profile(make_synthetic_app(config)))),
+              design.digest)
+        << "seed " << design.seed;
+  }
+}
 
 }  // namespace
 }  // namespace hybridic::apps

@@ -12,6 +12,8 @@ namespace hybridic::prof {
 namespace {
 
 constexpr std::uint64_t kPage = ShadowMemory::kPageBytes;
+constexpr std::uint64_t kChunkPages = PageGeometry::kChunkPages;
+constexpr std::uint64_t kChunk = PageGeometry::kChunkBytes;
 
 using Run = std::tuple<std::uint64_t, std::uint64_t, FunctionId>;
 
@@ -36,6 +38,18 @@ struct ReferenceShadow {
     std::fill_n(cells.begin() + static_cast<std::ptrdiff_t>(addr - base),
                 size, writer);
   }
+  /// Pages with a written byte (no test writes as kNoWriter).
+  [[nodiscard]] std::size_t written_pages() const {
+    std::size_t pages = 0;
+    for (std::uint64_t first = 0; first < cells.size(); first += kPage) {
+      const auto page = cells.begin() + static_cast<std::ptrdiff_t>(first);
+      if (std::any_of(page, page + static_cast<std::ptrdiff_t>(kPage),
+                      [](FunctionId id) { return id != kNoWriter; })) {
+        ++pages;
+      }
+    }
+    return pages;
+  }
   [[nodiscard]] FunctionId at(std::uint64_t addr) const {
     return addr < base || addr >= base + cells.size() ? kNoWriter
                                                        : cells[addr - base];
@@ -58,7 +72,7 @@ struct ReferenceShadow {
 void expect_matches(ShadowMemory& shadow, const ReferenceShadow& ref,
                     Rng& rng) {
   // Every byte, one page of margin either side.
-  const std::uint64_t lo = ref.base - kPage;
+  const std::uint64_t lo = ref.base >= kPage ? ref.base - kPage : 0;
   const std::uint64_t hi = ref.base + ref.cells.size() + kPage;
   for (std::uint64_t a = lo; a < hi; ++a) {
     ASSERT_EQ(shadow.last_writer(a), ref.at(a)) << "byte " << a;
@@ -209,31 +223,125 @@ TEST(ShadowMemory, PagesSplitOnlyOnPartialWritesByAnotherWriter) {
   EXPECT_EQ(shadow.last_writer(5 * kPage), kNoWriter);
 }
 
-/// Seeded writes into a `pages`-page window, with every byte and a few
-/// scans checked against the byte-array model every 60 writes.
-void check_against_reference(std::uint64_t pages, int writes) {
+/// Page 63, 64 or 65 of one of the window's chunk boundaries (a page
+/// just before, at or after it), as a page index into the window; the
+/// window's base must be chunk-aligned.
+std::uint64_t boundary_page(const ReferenceShadow& ref, Rng& rng) {
+  const std::uint64_t chunks = ref.cells.size() / kChunk;
+  return rng.between(1, chunks - 1) * kChunkPages + rng.between(0, 2) - 1;
+}
+
+/// One random write that starts, ends or turns at a chunk boundary, of a
+/// kind a bulk access makes, or else one of random_write's.
+void random_chunk_write(ShadowMemory& shadow, ReferenceShadow& ref,
+                        Rng& rng) {
+  const std::uint64_t window = ref.cells.size();
+  const auto writer = static_cast<FunctionId>(rng.below(4));
+  std::uint64_t addr = 0;
+  std::uint64_t size = 0;
+  switch (rng.below(6)) {
+    case 0: {  // Starts at a boundary page, aligned or not.
+      addr = ref.base + boundary_page(ref, rng) * kPage +
+             (rng.chance(0.5) ? 0 : rng.below(kPage));
+      size = rng.between(1, 2 * kChunk);
+      break;
+    }
+    case 1: {  // Ends in or after a boundary page.
+      const std::uint64_t end =
+          ref.base + boundary_page(ref, rng) * kPage +
+          (rng.chance(0.5) ? kPage : rng.between(1, kPage));
+      size = std::min(rng.between(1, 2 * kChunk), end - ref.base);
+      addr = end - size;
+      break;
+    }
+    case 2: {  // One or more whole chunks.
+      const std::uint64_t chunks = window / kChunk;
+      const std::uint64_t first = rng.below(chunks);
+      addr = ref.base + first * kChunk;
+      size = rng.between(1, chunks - first) * kChunk;
+      break;
+    }
+    case 3: {  // Partial writes, then whole pages over them.
+      const std::uint64_t boundary =
+          ref.base + rng.between(1, window / kChunk - 1) * kChunk;
+      for (int i = 0; i < 4; ++i) {
+        const std::uint64_t at =
+            boundary - 2 * kPage + rng.below(4 * kPage - 64);
+        const auto other = static_cast<FunctionId>(rng.below(4));
+        const std::uint64_t length = rng.between(1, 64);
+        shadow.write(at, length, other);
+        ref.write(at, length, other);
+      }
+      addr = boundary - rng.between(1, 3) * kPage;
+      size = rng.between(2, 6) * kPage;
+      break;
+    }
+    default:
+      random_write(shadow, ref, rng);
+      return;
+  }
+  size = std::min(size, ref.base + window - addr);
+  shadow.write(addr, size, writer);
+  ref.write(addr, size, writer);
+}
+
+using WriteFn = void (*)(ShadowMemory&, ReferenceShadow&, Rng&);
+
+/// Seeded writes into a `pages`-page window from `base`, with every byte,
+/// a few scans and the written-page count checked against the byte-array
+/// model every 60 writes.
+void check_against_reference(std::uint64_t base, std::uint64_t pages,
+                             int writes, WriteFn write) {
   for (const std::uint64_t seed : {1U, 2U, 3U, 4U}) {
+    SCOPED_TRACE(seed);
     Rng rng{seed};
     ShadowMemory shadow;
-    ReferenceShadow ref{9 * kPage, std::vector<FunctionId>(pages * kPage,
-                                                           kNoWriter)};
+    ReferenceShadow ref{base, std::vector<FunctionId>(pages * kPage,
+                                                      kNoWriter)};
     for (int op = 1; op <= writes; ++op) {
-      random_write(shadow, ref, rng);
+      write(shadow, ref, rng);
       if (op % 60 == 0) {
         expect_matches(shadow, ref, rng);
+        ASSERT_FALSE(testing::Test::HasFatalFailure());
+        EXPECT_EQ(shadow.page_count(), ref.written_pages());
       }
     }
   }
 }
 
 TEST(ShadowMemory, MatchesByteArrayReference) {
-  check_against_reference(6, 300);
+  check_against_reference(9 * kPage, 6, 300, random_write);
 }
 
 TEST(ShadowMemory, PagesSharingCacheSlotsMatchByteArrayReference) {
   // Forty pages: more than the page cache holds, so pages that share a
   // slot evict each other between writes and scans.
-  check_against_reference(40, 240);
+  check_against_reference(9 * kPage, 40, 240, random_write);
+}
+
+TEST(ShadowMemory, ChunkSpanningWritesMatchByteArrayReference) {
+  // Three whole chunks from chunk 1, so every write and scan that crosses
+  // page 64, 128 or 192 crosses a chunk boundary.
+  check_against_reference(kChunk, 3 * kChunkPages, 120, random_chunk_write);
+}
+
+TEST(ShadowMemory, SparseChunksAtZeroAndFarAwayMatchByteArrayReferences) {
+  // One shadow, two windows of two chunks: from address 0 and from
+  // 1 << 40, 2^22 chunks apart.
+  for (const std::uint64_t seed : {5U, 6U}) {
+    SCOPED_TRACE(seed);
+    Rng rng{seed};
+    ShadowMemory shadow;
+    ReferenceShadow low{0, std::vector<FunctionId>(2 * kChunk, kNoWriter)};
+    ReferenceShadow high{1ULL << 40,
+                         std::vector<FunctionId>(2 * kChunk, kNoWriter)};
+    for (int op = 1; op <= 120; ++op) {
+      random_chunk_write(shadow, rng.chance(0.5) ? low : high, rng);
+    }
+    expect_matches(shadow, low, rng);
+    expect_matches(shadow, high, rng);
+    EXPECT_EQ(shadow.page_count(), low.written_pages() + high.written_pages());
+  }
 }
 
 }  // namespace

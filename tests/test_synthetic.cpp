@@ -116,6 +116,20 @@ TEST(SyntheticConfigValidation, RejectsInvertedEdgeByteRange) {
   expect_rejected(config, "min_edge_bytes");
 }
 
+TEST(SyntheticConfigValidation, RejectsEdgesPastTheFixedBound) {
+  SyntheticConfig config;
+  config.min_edge_bytes = 1'000'000'000'000;
+  config.max_edge_bytes = 1'000'000'000'000;
+  expect_rejected(config, "max_edge_bytes");
+
+  config = SyntheticConfig{};
+  config.max_edge_bytes = kMaxEdgeBytes + 1;
+  expect_rejected(config, "max_edge_bytes");
+
+  config.max_edge_bytes = kMaxEdgeBytes;
+  EXPECT_NO_THROW(validate_synthetic_config(config));
+}
+
 TEST(SyntheticConfigValidation, RejectsInvertedWorkUnitRange) {
   SyntheticConfig config;
   config.min_work_units = 100;

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Tests for tools/bench_diff.py.
 
-Drives the script as a subprocess on the two fixture files in
-tests/fixtures/bench_diff/ (four pairs of sweep-analytic result lines)
-and checks:
+Drives the script as a subprocess on the fixture files in
+tests/fixtures/bench_diff/ (four pairs of sweep-analytic `--trace 0`
+result lines, and three pairs of `--trace 1` ones) and checks:
 
   * medians, quartiles, ratios and pair wins of the report;
   * a pair with an incorrect run, or where the change failed more
     operations, is listed and left out of every statistic;
   * the WORSE flag follows each metric's `better` and `bound`;
+  * traced lines are compared on the per-layer metrics, which are never
+    flagged, and the metrics that are 0 in every run are only listed;
   * exit 0 whatever the comparison shows, exit 2 on an unknown workload,
-    a malformed line, a missing metric, unpaired files or bad usage.
+    a malformed line, a missing metric, unpaired files, a traced file
+    against an untraced one or bad usage.
 
 Run from anywhere: python3 tools/bench_diff_test.py
 """
@@ -26,6 +29,8 @@ SCRIPT = os.path.join(HERE, "bench_diff.py")
 FIXTURES = os.path.join(HERE, os.pardir, "tests", "fixtures", "bench_diff")
 PARENT = os.path.join(FIXTURES, "parent.jsonl")
 CHANGE = os.path.join(FIXTURES, "change.jsonl")
+PARENT_TRACE = os.path.join(FIXTURES, "parent_trace.jsonl")
+CHANGE_TRACE = os.path.join(FIXTURES, "change_trace.jsonl")
 
 
 def run(*args):
@@ -73,6 +78,41 @@ def test_report():
     # setup_s did not move: no gap beyond the parent's spread.
     setup = row(out, "setup_s")
     check(setup[10] == "no" and setup[11] == "ok", f"setup {setup}")
+
+
+def test_trace_report():
+    result = run("sweep-analytic", PARENT_TRACE, CHANGE_TRACE)
+    check(result.returncode == 0, f"exit {result.returncode}: "
+          f"{result.stderr}")
+    out = result.stdout
+    check(out.startswith("bench_diff sweep-analytic: 3 pairs, 3 compared\n"),
+          "header line:\n" + out)
+    check("ops_per_s" not in out, "end-to-end metrics in a traced "
+          "report:\n" + out)
+    # Synthetic profiling busy time: parent 0.77, 0.80, 0.75; change
+    # 0.40, 0.42, 0.39.
+    busy = row(out, "apps.synthetic_profile.busy_s")
+    check(busy[2:5] == ["0.77", "[0.76,", "0.785]"], f"parent {busy}")
+    check(busy[5:8] == ["0.4", "[0.395,", "0.41]"], f"change {busy}")
+    check(busy[8:12] == ["0.519", "3/3", "yes", "-"], f"busy {busy}")
+    # Call counts do not move: ratio 1, no win, no gap.
+    calls = row(out, "apps.synthetic_profile.calls")
+    check(calls[8:12] == ["1.000", "0/3", "no", "-"], f"calls {calls}")
+    # A per-layer metric that doubled has no bound to break.
+    put = row(out, "store.put.p50_us")
+    check(put[8] == "2.000" and put[11] == "-", f"store.put {put}")
+    check("WORSE" not in out, "a per-layer metric flagged:\n" + out)
+    # Metrics that are 0 in every run are listed, not compared.
+    check("0 in every run, not compared: apps.paper_profile.busy_s, "
+          in out, "zero metrics:\n" + out)
+    for line in out.splitlines():
+        check(not line.startswith("serve.hit.p50_ms"),
+              "a zero metric compared:\n" + out)
+    # One traced file against an untraced one is not a pairing.
+    check(run("sweep-analytic", PARENT, CHANGE_TRACE).returncode == 2,
+          "untraced against traced must exit 2")
+    check(run("sweep-analytic", PARENT_TRACE, CHANGE).returncode == 2,
+          "traced against untraced must exit 2")
 
 
 def rewrite(source, target, edit):
@@ -149,6 +189,7 @@ def test_bad_input(tmp):
 
 def main():
     test_report()
+    test_trace_report()
     with tempfile.TemporaryDirectory() as tmp:
         test_left_out_pairs(tmp)
         test_bad_input(tmp)

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Round-trip smoke for the hybridic_serve JSON-lines front end.
 
-Starts the server, walks one request through every branch of the error
-taxonomy — served, usage, config, timeout (quarantined) — sends hostile
-lines that must each be a usage error, checks the stats counters, checks
-determinism (the same request twice yields the same bytes), and verifies
-the orderly EOF shutdown (exit 0).
+Starts the server, walks requests through every branch of the error
+taxonomy — served, usage, config (a zero kernel count and terabyte
+edges), timeout (quarantined) — sends hostile lines that must each be a
+usage error, checks the stats counters, checks determinism (the same
+request twice yields the same bytes), and verifies the orderly EOF
+shutdown (exit 0).
 
 Usage: python3 tools/serve_smoke.py /path/to/hybridic_serve
 """
@@ -34,6 +35,8 @@ def main():
         {"id": "ok-1-again", "seed": 5, "kernels": 4},
         {"id": "bad-key", "seed": 5, "bogus": 1},
         {"id": "bad-config", "kernels": 0},
+        {"id": "huge-edges", "min_edge_bytes": 1000000000000,
+         "max_edge_bytes": 1000000000000},
         {"id": "wedged", "kernels": 8, "tier": "cycle",
          "timeout_s": 0.0001},
     ]
@@ -85,12 +88,17 @@ def main():
           and config["exit_code"] == 3,
           "kernels=0 not a config error: " + lines[3])
 
-    wedged = replies[4]
+    huge = replies[4]
+    check(huge["ok"] is False and huge["error"] == "config"
+          and huge["exit_code"] == 3 and "max_edge_bytes" in huge["message"],
+          "terabyte edges not a config error naming the field: " + lines[4])
+
+    wedged = replies[5]
     check(wedged["ok"] is False and wedged["error"] == "timeout"
           and wedged["exit_code"] == 4,
-          "expired watchdog not a timeout error: " + lines[4])
+          "expired watchdog not a timeout error: " + lines[5])
     check("watchdog" in wedged["message"],
-          "timeout message does not name the watchdog: " + lines[4])
+          "timeout message does not name the watchdog: " + lines[5])
 
     first_hostile = len(requests)
     for offset, line in enumerate(hostile):
@@ -101,8 +109,8 @@ def main():
               + lines[first_hostile + offset])
 
     stats = replies[-1]
-    check(stats["ok"] is True and stats["requests"] == 12
-          and stats["served"] == 3 and stats["failed"] == 8
+    check(stats["ok"] is True and stats["requests"] == 13
+          and stats["served"] == 3 and stats["failed"] == 9
           and stats["quarantined"] == 1,
           "counter mismatch: " + lines[-1])
 
